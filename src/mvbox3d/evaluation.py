@@ -236,64 +236,66 @@ def _box_from_record(rec: dict) -> Box9DoF:
     return Box9DoF(rec["center"], rec["size"], rec["euler"])
 
 
-def _box_to_record(box: Box9DoF) -> dict:
+def box_record(box: Box9DoF, category: int) -> dict:
+    """JSON record of a categorized box; the one box serializer of the package."""
     return {
         "center": [float(x) for x in box.center],
         "size": [float(x) for x in box.size],
         "euler": [float(x) for x in box.euler],
+        "category": int(category),
     }
+
+
+def _read_jsonl(path, parse):
+    """Yield (line number, scene id, parse(record)) for each non-empty line; a
+    malformed line raises a ValueError that names the path and the line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                parsed = str(rec["scene_id"]), parse(rec)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            yield (lineno, *parsed)
+
+
+def _detections_from_record(rec: dict) -> list[Detection]:
+    return [Detection(_box_from_record(b), float(b["score"]), int(b["category"]))
+            for b in rec["boxes"]]
+
+
+def _gt_scene_from_record(rec: dict) -> SceneGroundTruth:
+    boxes = [_box_from_record(b) for b in rec["boxes"]]
+    cats = [int(b["category"]) for b in rec["boxes"]]
+    return SceneGroundTruth(boxes, cats, str(rec.get("subset", "all")))
 
 
 def load_detections_jsonl(path) -> dict[str, list[Detection]]:
     """Load per-scene detections; every box record needs a score."""
     out: dict[str, list[Detection]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                scene_id = str(rec["scene_id"])
-                dets = [
-                    Detection(_box_from_record(b), float(b["score"]), int(b["category"]))
-                    for b in rec["boxes"]
-                ]
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            out.setdefault(scene_id, []).extend(dets)
+    for _, scene_id, dets in _read_jsonl(path, _detections_from_record):
+        out.setdefault(scene_id, []).extend(dets)
     return out
 
 
 def load_gt_jsonl(path) -> GroundTruthSet:
-    """Load ground truth scenes; the per-line "subset" tag is optional."""
+    """Load ground truth scenes; the per-line "subset" tag is optional and a
+    repeated scene id is an error."""
     gts = GroundTruthSet()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                scene_id = str(rec["scene_id"])
-                boxes = [_box_from_record(b) for b in rec["boxes"]]
-                cats = [int(b["category"]) for b in rec["boxes"]]
-                subset = str(rec.get("subset", "all"))
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            gts.scenes[scene_id] = SceneGroundTruth(boxes, cats, subset)
+    for lineno, scene_id, scene in _read_jsonl(path, _gt_scene_from_record):
+        if scene_id in gts.scenes:
+            raise ValueError(f"{path}: line {lineno}: duplicate scene_id {scene_id!r}")
+        gts.scenes[scene_id] = scene
     return gts
 
 
 def save_detections_jsonl(path, dets_by_scene: dict[str, list[Detection]]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for scene_id in sorted(dets_by_scene):
-            boxes = []
-            for det in dets_by_scene[scene_id]:
-                rec = _box_to_record(det.box)
-                rec["category"] = det.category
-                rec["score"] = float(det.score)
-                boxes.append(rec)
+            boxes = [dict(box_record(det.box, det.category), score=float(det.score))
+                     for det in dets_by_scene[scene_id]]
             fh.write(json.dumps({"scene_id": scene_id, "boxes": boxes}, sort_keys=True))
             fh.write("\n")
 
@@ -302,11 +304,7 @@ def save_gt_jsonl(path, gts: GroundTruthSet) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for scene_id in sorted(gts.scenes):
             scene = gts.scenes[scene_id]
-            boxes = []
-            for box, cat in zip(scene.boxes, scene.categories):
-                rec = _box_to_record(box)
-                rec["category"] = cat
-                boxes.append(rec)
+            boxes = [box_record(box, cat) for box, cat in zip(scene.boxes, scene.categories)]
             fh.write(
                 json.dumps(
                     {"scene_id": scene_id, "subset": scene.subset, "boxes": boxes},

@@ -24,6 +24,10 @@ import numpy as np
 
 DEGENERATE_SIZE = 1e-9
 
+# [v]x flattened row-major is v @ _SKEW
+_SKEW = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0],
+                  [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
+
 # Local-frame corner offsets in canonical bit order, entries in {-0.5, +0.5}.
 CORNER_OFFSETS = np.array(
     [[(i >> 2) & 1, (i >> 1) & 1, i & 1] for i in range(8)], dtype=float
@@ -46,7 +50,7 @@ def _as_vec3(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(-1)
     if v.shape != (3,):
         raise ValueError(f"{name} must have exactly 3 components, got shape {np.shape(x)}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite, got {v}")
     return v
 
@@ -63,7 +67,7 @@ class Box9DoF:
         center = _as_vec3(self.center, "center")
         size = _as_vec3(self.size, "size")
         euler = _as_vec3(self.euler, "euler")
-        if np.any(size <= 0.0):
+        if (size <= 0.0).any():
             raise ValueError(f"size components must be strictly positive, got {size}")
         for name, v in (("center", center), ("size", size), ("euler", euler)):
             v.setflags(write=False)
@@ -85,6 +89,16 @@ class Box9DoF:
 
     def volume(self) -> float:
         return float(np.prod(self.size))
+
+
+def box_params(box) -> np.ndarray:
+    """[x, y, z, w, l, h, roll, pitch, yaw] of a ``Box9DoF``; (..., 9) arrays pass through."""
+    if isinstance(box, Box9DoF):
+        return box.to_params()
+    p = np.asarray(box, dtype=float)
+    if p.shape[-1:] != (9,):
+        raise ValueError(f"expected (..., 9) box parameters, got shape {p.shape}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -121,33 +135,45 @@ class Detection:
 
 
 def euler_to_rotation(euler) -> np.ndarray:
-    """Rotation matrix for (roll, pitch, yaw), composed as Rz(yaw) Ry(pitch) Rx(roll)."""
-    e = _as_vec3(euler, "euler")
-    roll, pitch, yaw = e
-    cr, sr = np.cos(roll), np.sin(roll)
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cy, sy = np.cos(yaw), np.sin(yaw)
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
-    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
-    rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
-    return rz @ ry @ rx
+    """Rotation matrices Rz(yaw) Ry(pitch) Rx(roll) of (..., 3) Euler angles,
+    shape (..., 3, 3). Corners, the Gaussian form and the loss gradients are
+    all built on this one function."""
+    e = np.asarray(euler, dtype=float)
+    if e.shape[-1:] != (3,):
+        raise ValueError(f"euler must have exactly 3 components, got shape {np.shape(euler)}")
+    if not np.isfinite(e).all():
+        raise ValueError(f"euler must be finite, got {e}")
+    # angle axis first; a single (3,) triple unpacks into Python floats, which
+    # keeps the per-box call cheap
+    first = (e.ndim - 1,) + tuple(range(e.ndim - 1))
+    c, s = np.cos(e).transpose(first), np.sin(e).transpose(first)
+    (cr, cp, cy), (sr, sp, sy) = (c.tolist(), s.tolist()) if e.ndim == 1 else (c, s)
+    a, b = cy * sp, sy * sp
+    rot = np.array([
+        [cy * cp, a * sr - sy * cr, a * cr + sy * sr],
+        [sy * cp, b * sr + cy * cr, b * cr - cy * sr],
+        [-sp, cp * sr, cp * cr],
+    ])
+    return rot.transpose(tuple(range(2, rot.ndim)) + (0, 1))
 
 
 def rotation_to_euler(rot) -> np.ndarray:
     """Euler angles (roll, pitch, yaw) such that euler_to_rotation reproduces ``rot``.
 
-    Uses the Rz Ry Rx decomposition; at the pitch = +-pi/2 singularity roll is
-    fixed to zero and the remaining freedom is folded into yaw.
+    Uses the Rz Ry Rx decomposition with pitch from atan2, exact next to the
+    pitch = +-pi/2 singularity; roll is solved after yaw and absorbs its error.
+    At the singularity roll is fixed to zero and the freedom folded into yaw.
     """
     r = np.asarray(rot, dtype=float)
     if r.shape != (3, 3):
         raise ValueError("rotation must be a 3x3 matrix")
-    sp = -r[2, 0]
-    sp = min(1.0, max(-1.0, sp))
-    pitch = np.arcsin(sp)
-    if abs(sp) < 1.0 - 1e-12:
-        roll = np.arctan2(r[2, 1], r[2, 2])
+    cp = np.hypot(r[0, 0], r[1, 0])
+    pitch = np.arctan2(-r[2, 0], cp)
+    if cp > 1e-12:  # off the singularity
         yaw = np.arctan2(r[1, 0], r[0, 0])
+        cy, sy = np.cos(yaw), np.sin(yaw)
+        # row 1 of Rz(yaw)^T R is (0, cos roll, -sin roll)
+        roll = np.arctan2(sy * r[0, 2] - cy * r[1, 2], cy * r[1, 1] - sy * r[0, 1])
     else:
         roll = 0.0
         yaw = np.arctan2(-r[0, 1], r[1, 1])
@@ -155,32 +181,36 @@ def rotation_to_euler(rot) -> np.ndarray:
 
 
 def rotation_derivatives(euler):
-    """Rotation matrix and its partial derivatives w.r.t. (roll, pitch, yaw).
+    """Rotation matrices and their partial derivatives w.r.t. (roll, pitch, yaw).
 
-    Returns:
-        (R, dR) with R of shape (3, 3) and dR of shape (3, 3, 3) where
-        dR[k] = dR/d euler[k].
+    Returns (R, dR) with R of shape (..., 3, 3) and dR[..., k, :, :] =
+    dR/d euler[k] = [a_k]x R, for the Euler axes a = (Rz Ry e_x, Rz e_y, e_z).
     """
-    e = _as_vec3(euler, "euler")
-    roll, pitch, yaw = e
-    cr, sr = np.cos(roll), np.sin(roll)
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cy, sy = np.cos(yaw), np.sin(yaw)
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
-    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
-    rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
-    drx = np.array([[0.0, 0.0, 0.0], [0.0, -sr, -cr], [0.0, cr, -sr]])
-    dry = np.array([[-sp, 0.0, cp], [0.0, 0.0, 0.0], [-cp, 0.0, -sp]])
-    drz = np.array([[-sy, -cy, 0.0], [cy, -sy, 0.0], [0.0, 0.0, 0.0]])
-    rot = rz @ ry @ rx
-    drot = np.stack([rz @ ry @ drx, rz @ dry @ rx, drz @ ry @ rx])
-    return rot, drot
+    rot = euler_to_rotation(euler)
+    yaw = np.asarray(euler, dtype=float)[..., 2]
+    axes = np.zeros(rot.shape)
+    axes[..., 0, :] = rot[..., :, 0]
+    axes[..., 1, 0] = -np.sin(yaw)
+    axes[..., 1, 1] = np.cos(yaw)
+    axes[..., 2, 2] = 1.0
+    return rot, (axes @ _SKEW).reshape(rot.shape[:-2] + (3, 3, 3)) @ rot[..., None, :, :]
 
 
-def box_corners(box: Box9DoF) -> np.ndarray:
-    """The 8 world-frame corners in canonical bit order, shape (8, 3)."""
-    rot = euler_to_rotation(box.euler)
-    return box.center + (CORNER_OFFSETS * box.size) @ rot.T
+def corner_arms(size, rot) -> np.ndarray:
+    """Canonical corners minus the center (..., 8, 3) for sizes (..., 3) and rotations."""
+    return (CORNER_OFFSETS * np.asarray(size)[..., None, :]) @ rot.swapaxes(-1, -2)
+
+
+def gaussian_sigma(size, rot) -> np.ndarray:
+    """Sigma = R diag(size) R^T for sizes (..., 3) and rotations (..., 3, 3)."""
+    return (rot * np.asarray(size)[..., None, :]) @ rot.swapaxes(-1, -2)
+
+
+def box_corners(box) -> np.ndarray:
+    """The 8 world-frame corners in canonical bit order, shape (..., 8, 3), of
+    a ``Box9DoF`` or of (..., 9) box parameters."""
+    p = box_params(box)
+    return p[..., None, :3] + corner_arms(p[..., 3:6], euler_to_rotation(p[..., 6:]))
 
 
 def signed_permutations() -> list[np.ndarray]:
@@ -253,10 +283,8 @@ def box_to_gaussian(box: Box9DoF) -> GaussianBox:
     Invariant under all 48 signed-permutation reparameterizations, which is
     what makes the derived Wasserstein loss orientation-ambiguity free.
     """
-    rot = euler_to_rotation(box.euler)
-    sigma = (rot * box.size) @ rot.T
-    sigma = 0.5 * (sigma + sigma.T)
-    return GaussianBox(box.center.copy(), sigma)
+    sigma = gaussian_sigma(box.size, euler_to_rotation(box.euler))
+    return GaussianBox(box.center.copy(), 0.5 * (sigma + sigma.T))
 
 
 # ---------------------------------------------------------------------------

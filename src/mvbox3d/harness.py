@@ -36,22 +36,22 @@ from .enhancer import (
 from .evaluation import (
     MetricsReport,
     SizeThresholds,
+    box_record,
     load_detections_jsonl,
     load_gt_jsonl,
     metrics_report,
     report_to_csv,
 )
 from .geometry import (
+    _SIGNED_PERMS,
     Box9DoF,
     box_corners,
     box_iou,
     nms,
     reparameterize_box,
-    signed_permutations,
 )
 from .losses import get_box_loss
 
-_SIGNED_PERMS = signed_permutations()
 _MIN_FIT_SIZE = 1e-3
 
 # Stall handling for the fit loop: the corner- and Gaussian-based losses have
@@ -378,6 +378,7 @@ def fit_single_box(gt: Box9DoF, init: Box9DoF, loss_kind: str,
     best-loss iterate, while the trace keeps the raw trajectory.
     """
     loss_fn = get_box_loss(loss_kind)
+    gt_params = gt.to_params()
     steps = config.fit_steps
     params = init.to_params()
     losses = np.empty(steps)
@@ -387,8 +388,9 @@ def fit_single_box(gt: Box9DoF, init: Box9DoF, loss_kind: str,
     boosted = False
     for step in range(steps):
         params[3:6] = np.maximum(params[3:6], _MIN_FIT_SIZE)
-        box = Box9DoF.from_params(params)
-        res = loss_fn(box, gt)
+        if not np.isfinite(params).all():
+            Box9DoF.from_params(params)  # raises the ValueError naming the bad block
+        res = loss_fn(params, gt_params)
         losses[step] = res.value
         grad_norms[step] = float(np.linalg.norm(res.grad))
         traj[step] = params
@@ -411,7 +413,7 @@ def fit_single_box(gt: Box9DoF, init: Box9DoF, loss_kind: str,
         params = new_params
     params[3:6] = np.maximum(params[3:6], _MIN_FIT_SIZE)
     final_params = params
-    final_loss = float(loss_fn(Box9DoF.from_params(final_params), gt).value)
+    final_loss = float(loss_fn(final_params, gt_params).value)
     best = int(np.argmin(losses))
     if losses[best] < final_loss:
         final_params = traj[best]
@@ -555,23 +557,20 @@ def scene_to_dict(scene: SceneSample) -> dict:
         "scene_id": scene.scene_id,
         "seed": scene.seed,
         "cameras": [camera_to_dict(c) for c in scene.cameras],
-        "boxes": [
-            {
-                "center": [float(x) for x in b.center],
-                "size": [float(x) for x in b.size],
-                "euler": [float(x) for x in b.euler],
-                "category": int(c),
-            }
-            for b, c in zip(scene.gt_boxes, scene.gt_categories)
-        ],
+        "boxes": [box_record(b, c) for b, c in zip(scene.gt_boxes, scene.gt_categories)],
     }
 
 
 def scene_from_dict(data: dict) -> SceneSample:
-    boxes = [Box9DoF(b["center"], b["size"], b["euler"]) for b in data["boxes"]]
-    cats = [int(b["category"]) for b in data["boxes"]]
-    cams = [camera_from_dict(c) for c in data["cameras"]]
-    return SceneSample(str(data["scene_id"]), int(data["seed"]), cams, boxes, cats)
+    try:
+        boxes = [Box9DoF(b["center"], b["size"], b["euler"]) for b in data["boxes"]]
+        cats = [int(b["category"]) for b in data["boxes"]]
+        cams = [camera_from_dict(c) for c in data["cameras"]]
+        return SceneSample(str(data["scene_id"]), int(data["seed"]), cams, boxes, cats)
+    except KeyError as exc:
+        raise ValueError(f"malformed scene record: missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed scene record: {exc}") from exc
 
 
 def save_scene_json(path, scene: SceneSample) -> None:
@@ -587,16 +586,7 @@ def load_scene_json(path) -> SceneSample:
 
 def scene_gt_record(scene: SceneSample, subset: str = "all") -> dict:
     """Ground-truth JSON-lines record for a scene."""
-    boxes = []
-    for box, cat in zip(scene.gt_boxes, scene.gt_categories):
-        boxes.append(
-            {
-                "center": [float(x) for x in box.center],
-                "size": [float(x) for x in box.size],
-                "euler": [float(x) for x in box.euler],
-                "category": int(cat),
-            }
-        )
+    boxes = [box_record(b, c) for b, c in zip(scene.gt_boxes, scene.gt_categories)]
     return {"scene_id": scene.scene_id, "subset": subset, "boxes": boxes}
 
 
@@ -612,14 +602,12 @@ def svg_line_chart(series: dict[str, np.ndarray], title: str = "",
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
     values = [np.asarray(v, dtype=float) for v in series.values()]
     if not values or all(v.size == 0 for v in values):
-        body = ""
         y_min, y_max = 0.0, 1.0
     else:
         y_min = min(float(v.min()) for v in values if v.size)
         y_max = max(float(v.max()) for v in values if v.size)
         if y_max - y_min < 1e-12:
             y_max = y_min + 1.0
-        body = ""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',

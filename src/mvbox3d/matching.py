@@ -13,30 +13,29 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .geometry import box_params
 from .losses import (
-    FOCAL_ALPHA,
-    FOCAL_GAMMA,
     LossWeights,
     center_loss,
     focal_loss,
+    focal_terms,
     get_box_loss,
     total_loss,
 )
 
-_PROB_FLOOR = 1e-12
 _TIE_TOL = 1e-9
 
 
-def focal_cost(prob: float) -> float:
-    """Focal-style classification cost of assigning a gt class with probability p."""
-    p = min(max(prob, _PROB_FLOOR), 1.0 - _PROB_FLOOR)
-    pos = FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA * (-np.log(p))
-    neg = (1.0 - FOCAL_ALPHA) * p**FOCAL_GAMMA * (-np.log(1.0 - p))
-    return float(pos - neg)
+def focal_cost(prob):
+    """Focal-style classification cost of assigning a gt class with
+    probability p; elementwise over arrays of probabilities."""
+    pos, neg = focal_terms(prob)
+    cost = pos - neg
+    return float(cost) if np.ndim(cost) == 0 else cost
 
 
 def cost_matrix(preds, gts, weights: LossWeights, box_loss_kind: str) -> np.ndarray:
-    """Pairwise matching costs.
+    """Pairwise matching costs, shape (P, G), from one broadcast loss call.
 
     Args:
         preds: list of (Box9DoF, class probability vector).
@@ -47,16 +46,15 @@ def cost_matrix(preds, gts, weights: LossWeights, box_loss_kind: str) -> np.ndar
     if not preds or not gts:
         raise ValueError("cost_matrix needs at least one prediction and one ground truth")
     box_fn = get_box_loss(box_loss_kind)
-    cost = np.empty((len(preds), len(gts)))
-    for p, (pbox, probs) in enumerate(preds):
-        probs = np.asarray(probs, dtype=float)
-        for g, (gbox, gcls) in enumerate(gts):
-            cost[p, g] = (
-                weights.cls_weight * focal_cost(float(probs[gcls]))
-                + weights.center_weight * center_loss(pbox.center, gbox.center).value
-                + weights.box_weight * box_fn(pbox, gbox).value
-            )
-    return cost
+    pred = np.stack([box_params(box) for box, _ in preds])[:, None, :]
+    gt = np.stack([box_params(box) for box, _ in gts])[None, :, :]
+    probs = np.stack([np.asarray(pr, dtype=float).reshape(-1) for _, pr in preds])
+    classes = np.array([int(c) for _, c in gts])
+    return (
+        weights.cls_weight * focal_cost(probs[:, classes])
+        + weights.center_weight * center_loss(pred[..., :3], gt[..., :3]).value
+        + weights.box_weight * box_fn(pred, gt).value
+    )
 
 
 def _optimal_cost(cost: np.ndarray) -> float:
@@ -125,6 +123,9 @@ class MatchedLoss:
 def matched_loss(preds, gts, weights: LossWeights, box_loss_kind: str) -> MatchedLoss:
     """Hungarian matching followed by the weighted training loss.
 
+    The matched pairs are evaluated in one batched ``total_loss`` call and the
+    unmatched predictions in one background ``focal_loss`` call.
+
     Args:
         preds: list of (Box9DoF, logits vector).
         gts: list of (Box9DoF, class id); may be empty, in which case every
@@ -139,24 +140,22 @@ def matched_loss(preds, gts, weights: LossWeights, box_loss_kind: str) -> Matche
         assignment = hungarian(cost)
     else:
         assignment = []
-    matched = {p: g for p, g in assignment}
-    per_pred = []
-    total_value = 0.0
-    for p, (pbox, _) in enumerate(preds):
-        if p in matched:
-            g = matched[p]
-            gbox, gcls = gts[g]
-            tl = total_loss(pbox, logits[p], gbox, gcls, weights, box_loss_kind)
-            per_pred.append(PredictionLoss(tl.value, tl.box_grad, tl.logits_grad, g))
-        else:
-            cls = focal_loss(logits[p], None)
-            per_pred.append(
-                PredictionLoss(
-                    weights.cls_weight * cls.value,
-                    np.zeros(9),
-                    weights.cls_weight * cls.grad,
-                    None,
-                )
-            )
-        total_value += per_pred[-1].value
-    return MatchedLoss(assignment, per_pred, float(total_value))
+    matched = dict(assignment)
+    # prediction index -> (value, box gradient, logits gradient)
+    terms = {}
+    if assignment:
+        rows, cols = zip(*assignment)
+        tl = total_loss(np.stack([box_params(preds[p][0]) for p in rows]),
+                        np.stack([logits[p] for p in rows]),
+                        np.stack([box_params(gts[g][0]) for g in cols]),
+                        np.array([int(gts[g][1]) for g in cols]), weights, box_loss_kind)
+        for i, p in enumerate(rows):
+            terms[p] = (float(tl.value[i]), tl.box_grad[i], tl.logits_grad[i])
+    unmatched = [p for p in range(len(preds)) if p not in matched]
+    if unmatched:
+        cls = focal_loss(np.stack([logits[p] for p in unmatched]), None)
+        for i, p in enumerate(unmatched):
+            terms[p] = (weights.cls_weight * float(cls.value[i]), np.zeros(9),
+                        weights.cls_weight * cls.grad[i])
+    per_pred = [PredictionLoss(*terms[p], matched.get(p)) for p in range(len(preds))]
+    return MatchedLoss(assignment, per_pred, float(sum(pl.value for pl in per_pred)))

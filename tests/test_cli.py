@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from mvbox3d.camera import CameraModel, save_camera_json
 from mvbox3d.cli import main
@@ -58,6 +59,18 @@ class TestRender:
         img = read_pgm(owners[0])
         assert img.shape == (64, 64)
 
+
+    @pytest.mark.parametrize("field", ["boxes", "cameras"])
+    def test_scene_without_field_exit_one(self, tmp_path, capsys, field):
+        scene = tmp_path / "scene.json"
+        run(["gen-scene", "--seed", "1", "--out", str(scene)])
+        data = json.loads(scene.read_text())
+        del data[field]
+        scene.write_text(json.dumps(data))
+        code = run(["render", "--scene", str(scene), "--out-dir", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: malformed scene record: missing field '{field}'\n"
 
 class TestStandardize:
     def test_default_intrinsics_output(self, tmp_path, capsys):
@@ -149,6 +162,24 @@ class TestEvalCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "split,category,ap,num_gt,num_det"
         assert lines[1].split(",")[2] == "1.000000"
+
+    def test_eval_duplicate_scene_id_exit_one(self, tmp_path, capsys):
+        gt = tmp_path / "gt.jsonl"
+        run(["gen-scene", "--seed", "4", "--out", str(tmp_path / "scene.json"),
+             "--gt-out", str(gt)])
+        rec = json.loads(gt.read_text())
+        gt.write_text(2 * (json.dumps(rec) + "\n"))
+        for box in rec["boxes"]:
+            box["score"] = 0.9
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "report.csv"
+        code = run(["eval", "--dets", str(dets), "--gt", str(gt), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "line 2" in err and "duplicate scene_id" in err
+        assert not out.exists()
 
     def test_eval_deterministic_bytes(self, tmp_path, capsys):
         scene = tmp_path / "scene.json"

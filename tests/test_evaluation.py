@@ -273,6 +273,17 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 2"):
             load_gt_jsonl(path)
 
+    def test_duplicate_scene_id_rejected(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        line = '{"scene_id": "a", "boxes": []}\n'
+        path.write_text(line + '{"scene_id": "b", "boxes": []}\n' + line)
+        with pytest.raises(ValueError) as info:
+            load_gt_jsonl(path)
+        message = str(info.value)
+        assert str(path) in message
+        assert "line 3" in message
+        assert "duplicate scene_id 'a'" in message
+
     def test_missing_score_rejected(self, tmp_path):
         path = tmp_path / "dets.jsonl"
         path.write_text(

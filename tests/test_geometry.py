@@ -118,6 +118,33 @@ class TestEulerRotation:
             again = euler_to_rotation(rotation_to_euler(rot))
             assert np.max(np.abs(rot - again)) < 1e-9
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("offset", [1e-3, 1e-5, 1e-7, 0.0])
+    def test_round_trip_near_gimbal(self, sign, offset):
+        rot = euler_to_rotation([0.4, sign * (np.pi / 2 - offset), -1.2])
+        again = euler_to_rotation(rotation_to_euler(rot))
+        assert np.max(np.abs(rot - again)) < 1e-12
+
+    def test_round_trip_near_gimbal_after_axis_swap(self):
+        # a quarter roll turns pitch-free rotations near gimbal lock once the
+        # local axes are permuted; the swapped entries are sums, not products
+        rot = euler_to_rotation([np.pi / 2 - 1e-7, 0.0, 0.5])
+        for perm in signed_permutations():
+            other = rot @ perm * np.linalg.det(perm)
+            again = euler_to_rotation(rotation_to_euler(other))
+            assert np.max(np.abs(other - again)) < 1e-12
+
+    def test_batched_matches_single(self):
+        rng = np.random.default_rng(7)
+        eulers = rng.uniform(-np.pi, np.pi, (4, 5, 3))
+        rots, d_rots = rotation_derivatives(eulers)
+        assert rots.shape == (4, 5, 3, 3)
+        assert d_rots.shape == (4, 5, 3, 3, 3)
+        for idx in np.ndindex(4, 5):
+            rot, d_rot = rotation_derivatives(eulers[idx])
+            assert np.max(np.abs(rots[idx] - rot)) < 1e-15
+            assert np.max(np.abs(d_rots[idx] - d_rot)) < 1e-15
+
     def test_rotate_then_unrotate_corners(self):
         rng = np.random.default_rng(12)
         g = np.eye(4)
@@ -165,6 +192,14 @@ class TestCorners:
         a = Box9DoF([0, 0, 0], [1, 1, 1], [0, 0, 0])
         b = Box9DoF([0, 0, 0], [1, 1, 1], [0, 0, np.pi / 2])
         assert np.allclose(sorted_corners(a), sorted_corners(b), atol=1e-12)
+
+    def test_parameter_batch_matches_boxes(self):
+        rng = np.random.default_rng(8)
+        boxes = random_boxes(rng, 6)
+        corners = box_corners(np.stack([b.to_params() for b in boxes]))
+        assert corners.shape == (6, 8, 3)
+        for box, c in zip(boxes, corners):
+            assert np.max(np.abs(box_corners(box) - c)) < 1e-15
 
     def test_centroid_is_center(self):
         rng = np.random.default_rng(2)

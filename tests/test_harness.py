@@ -155,6 +155,19 @@ class TestPerturbAndFit:
         assert trace.final_loss < 1e-9
         assert np.max(np.abs(trace.final_box.to_params() - gt.to_params())) < 1e-6
 
+    def test_non_finite_step_rejected(self, monkeypatch):
+        # a loss whose gradient turns non-finite drives the parameters there;
+        # the per-step check names the block instead of fitting on NaNs
+        from mvbox3d import losses
+
+        def nan_grad(pred, gt):
+            return losses.LossValueGrad(1.0, np.full(np.shape(pred), np.nan))
+
+        monkeypatch.setitem(losses._BOX_LOSSES, "l1", nan_grad)
+        gt = random_box(np.random.default_rng(4))
+        with pytest.raises(ValueError, match="center must be finite"):
+            fit_single_box(gt, gt, "l1", FAST_FIT)
+
     def test_unknown_loss_kind(self):
         gt = random_box(np.random.default_rng(3))
         with pytest.raises(ValueError):

@@ -246,6 +246,88 @@ class TestGradients:
             assert fn(gt, gt).value < 1e-9
 
 
+class TestNearGimbal:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("offset", [1e-3, 1e-5, 1e-7, 0.0])
+    def test_symmetric_losses_vanish(self, sign, offset):
+        gt = Box9DoF([0.3, -0.2, 1.0], [0.5, 0.9, 1.3], [0.4, sign * (np.pi / 2 - offset), -1.2])
+        for perm in PERMS:
+            other = reparameterize_box(gt, perm)
+            assert wasserstein_loss(other, gt).value < 1e-6
+            assert permutation_corner_loss(other, gt).value < 1e-6
+
+    def test_symmetric_losses_vanish_after_axis_swap(self):
+        gt = Box9DoF([0.3, -0.2, 1.0], [0.5, 0.9, 1.3], [np.pi / 2 - 1e-7, 0.0, 0.5])
+        for perm in PERMS:
+            other = reparameterize_box(gt, perm)
+            assert wasserstein_loss(other, gt).value < 1e-6
+            assert permutation_corner_loss(other, gt).value < 1e-6
+
+
+def batch_pairs(rng, n, kind):
+    """n general-position (pred, gt) pairs, away from the L1 kinks."""
+    pairs = []
+    while len(pairs) < n:
+        pred, gt = random_pair(rng)
+        if kind == "l1" and np.min(np.abs(pred.to_params() - gt.to_params())) < 1e-3:
+            continue
+        pairs.append((pred, gt))
+    pred = np.stack([p.to_params() for p, _ in pairs])
+    gt = np.stack([g.to_params() for _, g in pairs])
+    return pairs, pred, gt
+
+
+class TestBatchedLosses:
+    @pytest.mark.parametrize("kind", ["l1", "ccd", "pcd", "wd"])
+    def test_batch_matches_per_row(self, kind):
+        fn = get_box_loss(kind)
+        pairs, pred, gt = batch_pairs(np.random.default_rng(11), 16, kind)
+        batch = fn(pred, gt)
+        assert batch.value.shape == (16,)
+        assert batch.grad.shape == (16, 9)
+        for i, (p, g) in enumerate(pairs):
+            single = fn(p, g)
+            assert isinstance(single.value, float)
+            assert batch.value[i] == pytest.approx(single.value, abs=1e-12)
+            assert np.max(np.abs(batch.grad[i] - single.grad)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["l1", "ccd", "pcd", "wd"])
+    def test_batch_gradients_match_fd(self, kind):
+        fn = get_box_loss(kind)
+        _, pred, gt = batch_pairs(np.random.default_rng(12), 16, kind)
+        analytic = fn(pred, gt).grad
+        h = 1e-5
+        fd = np.zeros_like(pred)
+        for k in range(9):
+            hi = pred.copy()
+            hi[:, k] += h
+            lo = pred.copy()
+            lo[:, k] -= h
+            fd[:, k] = (fn(hi, gt).value - fn(lo, gt).value) / (2 * h)
+        rel = np.linalg.norm(analytic - fd, axis=1) / np.maximum(np.linalg.norm(fd, axis=1), 1e-8)
+        assert np.all(rel < 1e-4), f"{kind}: worst rel error {rel.max()}"
+
+    @pytest.mark.parametrize("kind", ["l1", "ccd", "pcd", "wd"])
+    def test_broadcast_pred_set_against_gt_set(self, kind):
+        fn = get_box_loss(kind)
+        rng = np.random.default_rng(13)
+        preds = [random_pair(rng)[0] for _ in range(4)]
+        gts = [random_pair(rng)[1] for _ in range(3)]
+        res = fn(np.stack([p.to_params() for p in preds])[:, None],
+                 np.stack([g.to_params() for g in gts])[None])
+        assert res.value.shape == (4, 3)
+        assert res.grad.shape == (4, 3, 9)
+        for i, p in enumerate(preds):
+            for j, g in enumerate(gts):
+                single = fn(p, g)
+                assert res.value[i, j] == pytest.approx(single.value, abs=1e-12)
+                assert np.max(np.abs(res.grad[i, j] - single.grad)) < 1e-12
+
+    def test_rejects_wrong_parameter_count(self):
+        with pytest.raises(ValueError):
+            wasserstein_loss(np.zeros(8), np.zeros(8))
+
+
 class TestTotalLoss:
     def test_default_weights(self):
         w = LossWeights()
@@ -278,6 +360,20 @@ class TestTotalLoss:
             + 1.0 * wasserstein_loss(pred, gt).value
         )
         assert res.value == pytest.approx(expected, abs=1e-12)
+
+    def test_batch_matches_per_pair(self):
+        rng = np.random.default_rng(7)
+        w = LossWeights()
+        pairs = [random_pair(rng) for _ in range(5)]
+        logits = rng.normal(0, 1, (5, 3))
+        classes = np.array([0, 2, 1, 1, 0])
+        batch = total_loss(np.stack([p.to_params() for p, _ in pairs]), logits,
+                           np.stack([g.to_params() for _, g in pairs]), classes, w, "pcd")
+        for i, (p, g) in enumerate(pairs):
+            single = total_loss(p, logits[i], g, int(classes[i]), w, "pcd")
+            assert batch.value[i] == pytest.approx(single.value, abs=1e-12)
+            assert np.max(np.abs(batch.box_grad[i] - single.box_grad)) < 1e-12
+            assert np.max(np.abs(batch.logits_grad[i] - single.logits_grad)) < 1e-12
 
     def test_unknown_kind(self):
         gt = Box9DoF([0, 0, 0], [1, 1, 1], [0, 0, 0])

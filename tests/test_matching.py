@@ -6,9 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
-from mvbox3d.geometry import Box9DoF
+from mvbox3d.geometry import Box9DoF, reparameterize_box, signed_permutations
 from mvbox3d.losses import LossWeights, center_loss, focal_loss, get_box_loss, total_loss
 from mvbox3d.matching import cost_matrix, focal_cost, hungarian, matched_loss
+
+PERMS = signed_permutations()
 
 
 def brute_force_optimum(cost):
@@ -83,6 +85,61 @@ class TestCostMatrix:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cost_matrix([], [], LossWeights(), "wd")
+
+
+def per_pair_costs(preds, gts, w, kind):
+    """Oracle: the matching cost recomposed one (prediction, gt) pair at a time."""
+    box_fn = get_box_loss(kind)
+    cost = np.empty((len(preds), len(gts)))
+    for p, (pbox, probs) in enumerate(preds):
+        for g, (gbox, gcls) in enumerate(gts):
+            cost[p, g] = (
+                w.cls_weight * focal_cost(float(probs[gcls]))
+                + w.center_weight * center_loss(pbox.center, gbox.center).value
+                + w.box_weight * box_fn(pbox, gbox).value
+            )
+    return cost
+
+
+def near_gimbal_box(rng):
+    pitch = rng.choice([-1.0, 1.0]) * (np.pi / 2 - rng.choice([1e-3, 1e-7, 0.0]))
+    return Box9DoF(rng.uniform(-2, 2, 3), rng.uniform(0.3, 1.2, 3),
+                   [rng.uniform(-1, 1), pitch, rng.uniform(-1, 1)])
+
+
+class TestBroadcastCostMatrix:
+    @pytest.mark.parametrize("kind", ["l1", "ccd", "pcd", "wd"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (5, 1), (6, 4)])
+    def test_matches_per_pair_oracle(self, kind, shape):
+        rng = np.random.default_rng(10)
+        w = LossWeights(1.0, 0.8, 1.0)
+        preds = [(random_box(rng), rng.uniform(0.05, 0.95, 3)) for _ in range(shape[0])]
+        gts = [(random_box(rng), int(rng.integers(0, 3))) for _ in range(shape[1])]
+        cost = cost_matrix(preds, gts, w, kind)
+        assert cost.shape == shape
+        assert np.max(np.abs(cost - per_pair_costs(preds, gts, w, kind))) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["l1", "ccd", "pcd", "wd"])
+    def test_near_gimbal_boxes(self, kind):
+        rng = np.random.default_rng(11)
+        w = LossWeights()
+        gts = [(near_gimbal_box(rng), int(rng.integers(0, 2))) for _ in range(4)]
+        preds = [(near_gimbal_box(rng), rng.uniform(0.05, 0.95, 2)) for _ in range(3)]
+        preds += [(reparameterize_box(box, PERMS[7 * i + 3]), rng.uniform(0.05, 0.95, 2))
+                  for i, (box, _) in enumerate(gts)]
+        cost = cost_matrix(preds, gts, w, kind)
+        assert np.max(np.abs(cost - per_pair_costs(preds, gts, w, kind))) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["l1", "ccd", "pcd", "wd"])
+    def test_duplicate_predictions_bitwise_equal_rows(self, kind):
+        rng = np.random.default_rng(12)
+        gts = [(random_box(rng), int(rng.integers(0, 3))) for _ in range(5)]
+        preds = [(random_box(rng), rng.uniform(0.05, 0.95, 3)) for _ in range(9)]
+        sources = [0, 4, 4, 8, 2]
+        preds += [preds[j] for j in sources]
+        cost = cost_matrix(preds, gts, LossWeights(), kind)
+        for row, j in enumerate(sources, start=9):
+            assert np.array_equal(cost[row], cost[j])
 
 
 class TestHungarian:
@@ -173,6 +230,28 @@ class TestMatchedLoss:
             else:
                 expected += w.cls_weight * focal_loss(logits, None).value
         assert result.total_value == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["wd", "pcd"])
+    def test_per_prediction_terms_match_per_pair_oracle(self, kind):
+        rng = np.random.default_rng(10)
+        w = LossWeights()
+        preds = [(random_box(rng), rng.normal(0, 1, 3)) for _ in range(7)]
+        gts = [(random_box(rng), int(rng.integers(0, 3))) for _ in range(4)]
+        result = matched_loss(preds, gts, w, kind)
+        matched = dict(result.assignment)
+        for p, ((pbox, logits), pl) in enumerate(zip(preds, result.per_prediction)):
+            if p in matched:
+                gbox, gcls = gts[matched[p]]
+                ref = total_loss(pbox, logits, gbox, gcls, w, kind)
+                value, box_grad, logits_grad = ref.value, ref.box_grad, ref.logits_grad
+            else:
+                ref = focal_loss(logits, None)
+                value = w.cls_weight * ref.value
+                box_grad, logits_grad = np.zeros(9), w.cls_weight * ref.grad
+            assert pl.matched_gt == matched.get(p)
+            assert pl.value == pytest.approx(value, abs=1e-12)
+            assert np.max(np.abs(pl.box_grad - box_grad)) < 1e-12
+            assert np.max(np.abs(pl.logits_grad - logits_grad)) < 1e-12
 
     def test_no_ground_truth(self):
         rng = np.random.default_rng(7)
