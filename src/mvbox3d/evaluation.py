@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box9DoF, Detection, box_iou
+from .geometry import Box9DoF, Detection, pairwise_iou
 
 SIZE_CLASSES = ("small", "medium", "large")
 
@@ -61,6 +61,27 @@ class MetricsReport:
     num_det: dict[int, int]
 
 
+def _greedy_flags(iou: np.ndarray, order, iou_threshold: float) -> list[bool]:
+    """TP/FP flags of the detections (rows of the (D, G) ``iou`` matrix) in
+    ``order``: each takes the untaken ground truth with the highest positive
+    IoU, lowest gt index on ties, if that IoU reaches the threshold."""
+    if iou.shape[1] == 0:
+        return [False] * len(order)
+    taken = np.zeros(iou.shape[1], dtype=bool)
+    flags = []
+    for i in order:
+        row = np.where(taken, 0.0, iou[i])
+        g = int(np.argmax(row))
+        hit = bool(row[g] > 0.0 and row[g] >= iou_threshold)
+        taken[g] |= hit
+        flags.append(hit)
+    return flags
+
+
+def _score_order(scores) -> list[int]:
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
 def match_detections(dets: list[Detection], gt_boxes: list[Box9DoF],
                      iou_threshold: float) -> list[bool]:
     """Greedy TP/FP flags in (score desc, input index asc) order.
@@ -68,25 +89,8 @@ def match_detections(dets: list[Detection], gt_boxes: list[Box9DoF],
     Each detection matches the unmatched ground truth with the highest IoU,
     provided it reaches the threshold; IoU ties go to the lowest gt index.
     """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    taken = [False] * len(gt_boxes)
-    flags = []
-    for i in order:
-        best_iou = 0.0
-        best_g = -1
-        for g, gbox in enumerate(gt_boxes):
-            if taken[g]:
-                continue
-            iou = box_iou(dets[i].box, gbox)
-            if iou > best_iou:
-                best_iou = iou
-                best_g = g
-        if best_g >= 0 and best_iou >= iou_threshold:
-            taken[best_g] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
+    iou = pairwise_iou([d.box for d in dets], gt_boxes)
+    return _greedy_flags(iou, _score_order([d.score for d in dets]), iou_threshold)
 
 
 def average_precision(flags, num_gt: int) -> float:
@@ -108,43 +112,64 @@ def average_precision(flags, num_gt: int) -> float:
     return float(ap)
 
 
-def _category_ap(dets_by_scene: dict[str, list[Detection]], gts: GroundTruthSet,
-                 category: int, iou_threshold: float,
-                 size_filter: str | None = None,
-                 subset_filter: str | None = None,
-                 thresholds: SizeThresholds | None = None):
-    """AP and counts for one category, optionally restricted to a size class
-    or subset tag. Both detections and ground truths are filtered."""
-    thresholds = thresholds or SizeThresholds()
+@dataclass
+class _SceneCategory:
+    """The detections and ground truths of one category in one scene, their
+    size classes and their (detections x ground truths) IoU matrix."""
+
+    scene_id: str
+    subset: str | None  # None for a scene without ground truth
+    scores: list[float]
+    det_sizes: list[str]
+    gt_sizes: list[str]
+    iou: np.ndarray
+
+
+def _scene_tables(dets_by_scene: dict[str, list[Detection]], gts: GroundTruthSet,
+                  categories, thresholds: SizeThresholds) -> dict[int, list[_SceneCategory]]:
+    """Per category, one table per scene (in scene id order) that holds a
+    detection or a ground truth of it; each IoU matrix is computed once and
+    shared by every split."""
+    tables: dict[int, list[_SceneCategory]] = {c: [] for c in categories}
+    for scene_id in sorted(set(dets_by_scene) | set(gts.scenes)):
+        scene_gt = gts.scenes.get(scene_id)
+        gt_pairs = list(zip(scene_gt.boxes, scene_gt.categories)) if scene_gt else []
+        dets = dets_by_scene.get(scene_id, [])
+        for cat in categories:
+            gt_boxes = [b for b, c in gt_pairs if c == cat]
+            cat_dets = [d for d in dets if d.category == cat]
+            if not gt_boxes and not cat_dets:
+                continue
+            tables[cat].append(_SceneCategory(
+                scene_id, scene_gt.subset if scene_gt else None,
+                [d.score for d in cat_dets],
+                [thresholds.classify(d.box) for d in cat_dets],
+                [thresholds.classify(b) for b in gt_boxes],
+                pairwise_iou([d.box for d in cat_dets], gt_boxes),
+            ))
+    return tables
+
+
+def _category_ap(tables: list[_SceneCategory], iou_threshold: float,
+                 size_filter: str | None = None, subset_filter: str | None = None):
+    """AP and counts for one category from its scene tables, optionally
+    restricted to a size class or subset tag. Both detections and ground
+    truths are filtered; the IoU matrices are sliced, not recomputed."""
     scored: list[tuple[float, str, int, bool]] = []
     total_gt = 0
     total_det = 0
-    scene_ids = sorted(set(dets_by_scene) | set(gts.scenes))
-    for scene_id in scene_ids:
-        scene_gt = gts.scenes.get(scene_id)
-        if subset_filter is not None:
-            if scene_gt is None or scene_gt.subset != subset_filter:
-                continue
-        gt_boxes = []
-        if scene_gt is not None:
-            gt_boxes = [
-                b
-                for b, c in zip(scene_gt.boxes, scene_gt.categories)
-                if c == category
-                and (size_filter is None or thresholds.classify(b) == size_filter)
-            ]
-        dets = [
-            d
-            for d in dets_by_scene.get(scene_id, [])
-            if d.category == category
-            and (size_filter is None or thresholds.classify(d.box) == size_filter)
-        ]
-        total_gt += len(gt_boxes)
-        total_det += len(dets)
-        flags = match_detections(dets, gt_boxes, iou_threshold)
-        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-        for rank, i in enumerate(order):
-            scored.append((dets[i].score, scene_id, i, flags[rank]))
+    for table in tables:
+        if subset_filter is not None and table.subset != subset_filter:
+            continue
+        rows = [i for i, s in enumerate(table.det_sizes) if size_filter in (None, s)]
+        cols = [g for g, s in enumerate(table.gt_sizes) if size_filter in (None, s)]
+        total_gt += len(cols)
+        total_det += len(rows)
+        scores = [table.scores[i] for i in rows]
+        order = _score_order(scores)
+        flags = _greedy_flags(table.iou[np.ix_(rows, cols)], order, iou_threshold)
+        for i, flag in zip(order, flags):
+            scored.append((scores[i], table.scene_id, i, flag))
     scored.sort(key=lambda item: (-item[0], item[1], item[2]))
     ap = average_precision([f for _, _, _, f in scored], total_gt)
     return ap, total_gt, total_det
@@ -157,7 +182,8 @@ def metrics_report(dets_by_scene: dict[str, list[Detection]], gts: GroundTruthSe
 
     Macro means run over categories that have at least one ground truth in
     the relevant split; detection-only categories still show up in the
-    per-category table (their detections are all false positives).
+    per-category table (their detections are all false positives). The IoU
+    of each (scene, category) is computed once for all splits.
     """
     thresholds = thresholds or SizeThresholds()
     gt_categories = sorted(
@@ -167,45 +193,27 @@ def metrics_report(dets_by_scene: dict[str, list[Detection]], gts: GroundTruthSe
         {d.category for dets in dets_by_scene.values() for d in dets}
     )
     all_categories = sorted(set(gt_categories) | set(det_categories))
+    tables = _scene_tables(dets_by_scene, gts, all_categories, thresholds)
 
     per_category: dict[int, float] = {}
     num_gt: dict[int, int] = {}
     num_det: dict[int, int] = {}
     for cat in all_categories:
-        ap, n_gt, n_det = _category_ap(
-            dets_by_scene, gts, cat, iou_threshold, thresholds=thresholds
-        )
-        per_category[cat] = ap
-        num_gt[cat] = n_gt
-        num_det[cat] = n_det
+        per_category[cat], num_gt[cat], num_det[cat] = _category_ap(tables[cat], iou_threshold)
     with_gt = [c for c in all_categories if num_gt[c] > 0]
     overall = float(np.mean([per_category[c] for c in with_gt])) if with_gt else 0.0
 
-    per_size: dict[str, float] = {}
-    for size in SIZE_CLASSES:
+    def split_mean(**split) -> float:
         aps = []
         for cat in gt_categories:
-            ap, n_gt, _ = _category_ap(
-                dets_by_scene, gts, cat, iou_threshold,
-                size_filter=size, thresholds=thresholds,
-            )
+            ap, n_gt, _ = _category_ap(tables[cat], iou_threshold, **split)
             if n_gt > 0:
                 aps.append(ap)
-        per_size[size] = float(np.mean(aps)) if aps else 0.0
+        return float(np.mean(aps)) if aps else 0.0
 
+    per_size = {size: split_mean(size_filter=size) for size in SIZE_CLASSES}
     subsets = sorted({scene.subset for scene in gts.scenes.values()})
-    per_subset: dict[str, float] = {}
-    for subset in subsets:
-        aps = []
-        for cat in gt_categories:
-            ap, n_gt, _ = _category_ap(
-                dets_by_scene, gts, cat, iou_threshold,
-                subset_filter=subset, thresholds=thresholds,
-            )
-            if n_gt > 0:
-                aps.append(ap)
-        per_subset[subset] = float(np.mean(aps)) if aps else 0.0
-
+    per_subset = {subset: split_mean(subset_filter=subset) for subset in subsets}
     return MetricsReport(overall, per_category, per_size, per_subset, num_gt, num_det)
 
 
@@ -256,19 +264,30 @@ def _read_jsonl(path, parse):
             try:
                 rec = json.loads(line)
                 parsed = str(rec["scene_id"]), parse(rec)
-            except (KeyError, TypeError, ValueError) as exc:
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {lineno}: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             yield (lineno, *parsed)
 
 
+def _category_from_record(rec: dict) -> int:
+    """The box's category, which must be a JSON integer: 1.7, "2" and true are
+    rejected rather than truncated or coerced."""
+    cat = rec["category"]
+    if isinstance(cat, bool) or not isinstance(cat, int):
+        raise ValueError(f"category must be an integer, got {cat!r}")
+    return cat
+
+
 def _detections_from_record(rec: dict) -> list[Detection]:
-    return [Detection(_box_from_record(b), float(b["score"]), int(b["category"]))
+    return [Detection(_box_from_record(b), float(b["score"]), _category_from_record(b))
             for b in rec["boxes"]]
 
 
 def _gt_scene_from_record(rec: dict) -> SceneGroundTruth:
     boxes = [_box_from_record(b) for b in rec["boxes"]]
-    cats = [int(b["category"]) for b in rec["boxes"]]
+    cats = [_category_from_record(b) for b in rec["boxes"]]
     return SceneGroundTruth(boxes, cats, str(rec.get("subset", "all")))
 
 

@@ -34,7 +34,6 @@ from mvbox3d.evaluation import (
 from mvbox3d.geometry import (
     Box9DoF,
     Detection,
-    box_corners,
     box_iou,
     euler_to_rotation,
     reparameterize_box,
@@ -57,6 +56,7 @@ from mvbox3d.losses import (
     wasserstein_loss,
 )
 from mvbox3d.matching import hungarian
+from oracles import chamfer_tie_margin, pcd_tie_margin
 
 PERMS = signed_permutations()
 
@@ -120,25 +120,6 @@ def _fd_gradient(value_fn, params, h=1e-5):
     return grad
 
 
-def _chamfer_tie_margin(pred, gt):
-    dist = np.linalg.norm(box_corners(pred)[:, None] - box_corners(gt)[None, :], axis=2)
-    margins = []
-    for axis in (0, 1):
-        part = np.sort(dist, axis=axis)
-        margins.append(np.min(part[1] - part[0]) if axis == 0 else np.min(part[:, 1] - part[:, 0]))
-    return min(margins)
-
-
-def _pcd_tie_margin(pred, gt):
-    from mvbox3d.geometry import corner_permutation_table
-
-    pc = box_corners(pred)
-    orderings = box_corners(gt)[corner_permutation_table()]
-    means = np.linalg.norm(pc[None] - orderings, axis=2).mean(axis=1)
-    top2 = np.sort(means)[:2]
-    return top2[1] - top2[0]
-
-
 def test_criterion_2_gradient_suite():
     start = time.time()
     checks = {
@@ -157,9 +138,9 @@ def test_criterion_2_gradient_suite():
             pred, gt = general_position_pair(rng)
             if name == "l1" and np.min(np.abs(pred.to_params() - gt.to_params())) < 1e-3:
                 continue
-            if name == "ccd" and _chamfer_tie_margin(pred, gt) < 1e-3:
+            if name == "ccd" and chamfer_tie_margin(pred, gt) < 1e-3:
                 continue
-            if name == "pcd" and _pcd_tie_margin(pred, gt) < 1e-3:
+            if name == "pcd" and pcd_tie_margin(pred, gt) < 1e-3:
                 continue
             analytic = fn(pred, gt).grad
             fd = _fd_gradient(lambda p: fn(Box9DoF.from_params(p), gt).value, pred.to_params())

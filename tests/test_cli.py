@@ -181,6 +181,23 @@ class TestEvalCli:
         assert "line 2" in err and "duplicate scene_id" in err
         assert not out.exists()
 
+    def test_eval_non_integer_category_exit_one(self, tmp_path, capsys):
+        gt = tmp_path / "gt.jsonl"
+        run(["gen-scene", "--seed", "4", "--out", str(tmp_path / "scene.json"),
+             "--gt-out", str(gt)])
+        rec = json.loads(gt.read_text())
+        for box in rec["boxes"]:
+            box["score"] = 0.9
+        rec["boxes"][0]["category"] = 1.7
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "report.csv"
+        code = run(["eval", "--dets", str(dets), "--gt", str(gt), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {dets}: line 1: category must be an integer, got 1.7\n"
+        assert not out.exists()
+
     def test_eval_deterministic_bytes(self, tmp_path, capsys):
         scene = tmp_path / "scene.json"
         gt = tmp_path / "gt.jsonl"

@@ -1,10 +1,13 @@
 """Evaluation tests: greedy matching, all-point AP, the split report, and the
 JSON-lines interchange, each checked against brute-force oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
 from mvbox3d.evaluation import (
+    SIZE_CLASSES,
     GroundTruthSet,
     SceneGroundTruth,
     SizeThresholds,
@@ -18,6 +21,7 @@ from mvbox3d.evaluation import (
     save_gt_jsonl,
 )
 from mvbox3d.geometry import Box9DoF, Detection, box_iou
+from oracles import oracle_iou
 
 
 def cube(center, edge=1.0, category=0, score=None):
@@ -248,6 +252,84 @@ class TestMetricsReport:
         assert any(line.startswith("subset,ring,") for line in lines)
 
 
+def brute_force_split_means(dets_by_scene, gts, threshold, thresholds):
+    """Per-size and per-subset macro APs, each split filtered and matched from
+    scratch with explicit loops and the clipping oracle's IoU."""
+    categories = sorted({c for s in gts.scenes.values() for c in s.categories})
+
+    def split_ap(cat, keep_scene, keep_box):
+        stream, total_gt = [], 0
+        for sid in sorted(set(dets_by_scene) | set(gts.scenes)):
+            scene = gts.scenes.get(sid)
+            if not keep_scene(scene):
+                continue
+            gt_boxes = [b for b, c in zip(scene.boxes, scene.categories)
+                        if c == cat and keep_box(b)] if scene else []
+            dets = [d for d in dets_by_scene.get(sid, []) if d.category == cat and keep_box(d.box)]
+            total_gt += len(gt_boxes)
+            taken = set()
+            for i in sorted(range(len(dets)), key=lambda i: (-dets[i].score, i)):
+                best, best_g = 0.0, -1
+                for g, gbox in enumerate(gt_boxes):
+                    iou = oracle_iou(dets[i].box, gbox)
+                    if g not in taken and iou > best:
+                        best, best_g = iou, g
+                tp = best_g >= 0 and best >= threshold
+                if tp:
+                    taken.add(best_g)
+                stream.append((dets[i].score, sid, i, tp))
+        stream.sort(key=lambda t: (-t[0], t[1], t[2]))
+        return hand_ap([t[3] for t in stream], total_gt), total_gt
+
+    def macro(keep_scene, keep_box):
+        aps = [ap for ap, n in (split_ap(c, keep_scene, keep_box) for c in categories) if n > 0]
+        return float(np.mean(aps)) if aps else 0.0
+
+    per_size = {size: macro(lambda s: True, lambda b, size=size: thresholds.classify(b) == size)
+                for size in SIZE_CLASSES}
+    subsets = sorted({s.subset for s in gts.scenes.values()})
+    per_subset = {sub: macro(lambda s, sub=sub: s is not None and s.subset == sub, lambda b: True)
+                  for sub in subsets}
+    return per_size, per_subset
+
+
+class TestSplitsAgainstBruteForce:
+    def _scenes(self, rng):
+        gts = GroundTruthSet()
+        dets = {}
+        for k in range(6):
+            n = int(rng.integers(1, 6))
+            boxes = [Box9DoF(rng.uniform(-2, 2, 3), rng.uniform(0.1, 1.2, 3),
+                             [0, 0, rng.uniform(-1, 1)]) for _ in range(n)]
+            cats = [int(rng.integers(0, 3)) for _ in range(n)]
+            gts.scenes[f"s{k}"] = SceneGroundTruth(boxes, cats, ("a", "b", "c")[k % 3])
+            scene_dets = []
+            for box, cat in zip(boxes, cats):
+                for _ in range(int(rng.integers(0, 3))):  # duplicates, some cross-category
+                    jit = Box9DoF(box.center + rng.normal(0, 0.1, 3),
+                                  box.size * rng.uniform(0.8, 1.25, 3), box.euler)
+                    det_cat = cat if rng.random() < 0.7 else int(rng.integers(0, 3))
+                    scene_dets.append(Detection(jit, float(rng.choice([0.3, 0.6, 0.9])), det_cat))
+            scene_dets.append(Detection(Box9DoF(rng.uniform(-2, 2, 3), [0.5, 0.5, 0.5], [0, 0, 0]),
+                                        0.6, int(rng.integers(0, 3))))
+            dets[f"s{k}"] = scene_dets
+        dets["only-dets"] = [Detection(gts.scenes["s0"].boxes[0], 0.9, 1)]
+        return dets, gts
+
+    def test_size_and_subset_means(self):
+        rng = np.random.default_rng(31)
+        thresholds = SizeThresholds()
+        for _ in range(6):
+            dets, gts = self._scenes(rng)
+            report = metrics_report(dets, gts, 0.25, thresholds)
+            per_size, per_subset = brute_force_split_means(dets, gts, 0.25, thresholds)
+            assert report.per_size.keys() == per_size.keys()
+            assert report.per_subset.keys() == per_subset.keys()
+            for split, expected in (*per_size.items(), *per_subset.items()):
+                got = report.per_size.get(split, report.per_subset.get(split))
+                assert abs(got - expected) <= 1e-12, split
+
+
 class TestJsonl:
     def test_round_trip(self, tmp_path):
         gts = GroundTruthSet(
@@ -291,4 +373,26 @@ class TestJsonl:
             '"euler": [0,0,0], "category": 0}]}\n'
         )
         with pytest.raises(ValueError, match="line 1"):
+            load_detections_jsonl(path)
+
+    @pytest.mark.parametrize("value", [1.7, "2", True, None, [1]])
+    @pytest.mark.parametrize("loader", [load_detections_jsonl, load_gt_jsonl])
+    def test_non_integer_category_rejected(self, tmp_path, loader, value):
+        path = tmp_path / "boxes.jsonl"
+        box = {"center": [0, 0, 0], "size": [1, 1, 1], "euler": [0, 0, 0],
+               "category": 0, "score": 0.5}
+        bad = dict(box, category=value)
+        path.write_text(json.dumps({"scene_id": "a", "boxes": [box]}) + "\n"
+                        + json.dumps({"scene_id": "b", "boxes": [box, bad]}) + "\n")
+        with pytest.raises(ValueError) as info:
+            loader(path)
+        message = str(info.value)
+        assert str(path) in message and "line 2" in message
+        assert f"category must be an integer, got {value!r}" in message
+
+    def test_missing_field_is_named(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        path.write_text('{"scene_id": "a", "boxes": [{"center": [0,0,0], "size": [1,1,1], '
+                        '"euler": [0,0,0], "category": 0}]}\n')
+        with pytest.raises(ValueError, match="line 1: missing field 'score'"):
             load_detections_jsonl(path)

@@ -392,3 +392,15 @@ class TestNms:
             kept = nms(dets, 0.5)
             expected = brute_force_nms(dets, 0.5)
             assert [id(d) for d in kept] == [id(d) for d in expected]
+
+    def test_equal_scores_match_brute_force(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            dets = []
+            for _ in range(10):
+                box = Box9DoF(rng.uniform(-0.8, 0.8, 3), rng.uniform(0.8, 1.4, 3),
+                              [0, rng.uniform(-0.3, 0.3), rng.uniform(-1, 1)])
+                # two score levels, so most visits are ordered by input index
+                dets.append(Detection(box, float(rng.choice([0.5, 0.9])), int(rng.integers(0, 3))))
+            kept = nms(dets, 0.3)
+            assert [id(d) for d in kept] == [id(d) for d in brute_force_nms(dets, 0.3)]

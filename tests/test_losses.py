@@ -24,6 +24,7 @@ from mvbox3d.losses import (
     total_loss,
     wasserstein_loss,
 )
+from oracles import chamfer_tie_margin, pcd_tie_margin
 
 PERMS = signed_permutations()
 
@@ -221,14 +222,22 @@ class TestFocalLoss:
 
 
 class TestGradients:
+    # a fixed table, since hash(kind) is salted per process
+    SEEDS = {"l1": 101, "ccd": 102, "pcd": 103, "wd": 104}
+
     @pytest.mark.parametrize("kind", ["l1", "ccd", "pcd", "wd"])
     def test_box_loss_gradients_match_fd(self, kind):
         fn = get_box_loss(kind)
-        rng = np.random.default_rng(hash(kind) % 2**32)
+        rng = np.random.default_rng(self.SEEDS[kind])
         checked = 0
         while checked < 60:
             pred, gt = random_pair(rng)
             if kind == "l1" and np.min(np.abs(pred.to_params() - gt.to_params())) < 1e-3:
+                continue
+            # an active-pair switch inside the FD step is not a gradient error
+            if kind == "ccd" and chamfer_tie_margin(pred, gt) < 1e-3:
+                continue
+            if kind == "pcd" and pcd_tie_margin(pred, gt) < 1e-3:
                 continue
             analytic = fn(pred, gt).grad
             fd = fd_box_gradient(fn, pred, gt)
