@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraModel, project_points
+from .camera import CameraModel, bilinear_warp, project_points
 from .enhancer import FeatureMap, LinearParams
 from .geometry import Box9DoF, euler_to_rotation
 
@@ -93,22 +93,14 @@ def bilinear_sample(fm: FeatureMap, pixel) -> np.ndarray:
     """Bilinear interpolation at a feature-grid coordinate (u, v).
 
     ``pixel`` is in feature-grid units (image pixel / stride) and must lie in
-    [0, W-1] x [0, H-1]; callers mask validity before sampling.
+    [0, W-1] x [0, H-1]; callers mask validity before sampling. A one-point
+    view of ``camera.bilinear_warp``.
     """
     u, v = float(pixel[0]), float(pixel[1])
     height, width = fm.grid.shape[:2]
     if not (0.0 <= u <= width - 1 and 0.0 <= v <= height - 1):
         raise ValueError(f"sample ({u}, {v}) outside feature grid {width}x{height}")
-    u0, v0 = int(math.floor(u)), int(math.floor(v))
-    u1, v1 = min(u0 + 1, width - 1), min(v0 + 1, height - 1)
-    du, dv = u - u0, v - v0
-    g = fm.grid
-    return (
-        g[v0, u0] * (1 - du) * (1 - dv)
-        + g[v0, u1] * du * (1 - dv)
-        + g[v1, u0] * (1 - du) * dv
-        + g[v1, u1] * du * dv
-    )
+    return bilinear_warp(fm.grid, np.array([u]), np.array([v]))[0]
 
 
 def camera_descriptor(cam: CameraModel) -> np.ndarray:
@@ -175,6 +167,11 @@ def aggregate(queries: list[Query], feature_maps: list[FeatureMap],
               cams: list[CameraModel], params: AggregationParams):
     """Updated feature per query: the masked-weighted sum of sampled features.
 
+    The key points of all queries are projected into each view together, and
+    the valid (query, key point) pairs of a view are sampled in one
+    ``bilinear_warp`` call. A query's update adds its weighted samples key
+    point by key point, view by view.
+
     Returns:
         (features, all_invalid_flags): an (n_queries, C) array and a boolean
         list marking queries whose key points were invalid in every view
@@ -182,33 +179,32 @@ def aggregate(queries: list[Query], feature_maps: list[FeatureMap],
     """
     if len(feature_maps) != len(cams):
         raise ValueError("need one feature map per camera")
-    n_views = len(cams)
+    n_queries, n_views = len(queries), len(cams)
+    m = len(FIXED_KEYPOINT_OFFSETS) + NUM_LEARNABLE_KEYPOINTS
+    points = np.reshape([
+        keypoints_world(
+            query.anchor,
+            np.concatenate(
+                [FIXED_KEYPOINT_OFFSETS,
+                 learnable_keypoint_offsets(query.feature, params.offset_params)]
+            ),
+        )
+        for query in queries
+    ], (-1, 3))
+    channels = feature_maps[0].grid.shape[2] if feature_maps else 0
+    valid = np.zeros((n_queries * m, n_views), dtype=bool)
+    samples = np.zeros((n_queries * m, n_views, channels))
+    for n in range(n_views):
+        ok, fu, fv = keypoint_validity(cams[n], feature_maps[n], points, params.max_depth)
+        valid[:, n] = ok
+        samples[ok, n] = bilinear_warp(feature_maps[n].grid, fu[ok], fv[ok])
+    valid = valid.reshape(n_queries, m, n_views)
+    samples = samples.reshape(n_queries, m, n_views, channels)
     out = []
     flags = []
-    for query in queries:
-        offsets = np.concatenate(
-            [
-                FIXED_KEYPOINT_OFFSETS,
-                learnable_keypoint_offsets(query.feature, params.offset_params),
-            ]
-        )
-        points = keypoints_world(query.anchor, offsets)
-        m = len(points)
-        valid = np.zeros((m, n_views), dtype=bool)
-        coords = np.zeros((m, n_views, 2))
-        for n in range(n_views):
-            v, fu, fv = keypoint_validity(cams[n], feature_maps[n], points, params.max_depth)
-            valid[:, n] = v
-            coords[:, n, 0] = np.where(v, fu, 0.0)
-            coords[:, n, 1] = np.where(v, fv, 0.0)
-        w = aggregation_weights(query, cams, valid, params.weight_params)
-        channels = feature_maps[0].grid.shape[2]
-        acc = np.zeros(channels)
-        for i in range(m):
-            for n in range(n_views):
-                if valid[i, n]:
-                    acc += w.weights[i, n] * bilinear_sample(feature_maps[n], coords[i, n])
-        out.append(acc)
+    for query, mask, sampled in zip(queries, valid, samples):
+        w = aggregation_weights(query, cams, mask, params.weight_params)
+        out.append((w.weights[mask][:, None] * sampled[mask]).sum(axis=0))
         flags.append(w.all_invalid)
     return np.asarray(out), flags
 

@@ -194,16 +194,24 @@ def frustum_point_grid(cam: CameraModel, grid_hw: tuple[int, int], max_depth: fl
 
 
 def bilinear_warp(image: np.ndarray, src_u: np.ndarray, src_v: np.ndarray) -> np.ndarray:
-    """Sample ``image`` at continuous (src_u, src_v) with zero fill outside.
+    """Sample an (H, W) or (H, W, C) ``image`` at continuous (src_u, src_v)
+    with zero fill outside; the package's one bilinear sampler.
 
-    A sample is valid when 0 <= u <= W-1 and 0 <= v <= H-1; the four-neighbor
-    footprint is clamped at the border, everything else is zero-padded.
+    ``src_u`` and ``src_v`` broadcast against each other, so a separable warp
+    passes a (1, W) row and an (H, 1) column, and scattered points pass two
+    (N,) arrays. The result has their broadcast shape (plus C for a
+    multi-channel image) and is float64, while the four neighbours are
+    gathered from ``image`` in its own dtype. A sample is valid when
+    0 <= u <= W-1 and 0 <= v <= H-1; the four-neighbor footprint is clamped
+    at the border, everything else is zero-padded. Every sample is summed as
+    ((a (1-fu)) (1-fv) + (b fu) (1-fv)) + (c (1-fu)) fv + (d fu) fv.
     """
-    img = np.asarray(image, dtype=float)
+    img = np.asarray(image)
     squeeze = img.ndim == 2
     if squeeze:
         img = img[..., None]
-    height, width = img.shape[:2]
+    height, width, channels = img.shape
+    pixels = img.reshape(height * width, channels)
     valid = (src_u >= 0) & (src_u <= width - 1) & (src_v >= 0) & (src_v <= height - 1)
     u = np.clip(src_u, 0, width - 1)
     v = np.clip(src_v, 0, height - 1)
@@ -211,14 +219,22 @@ def bilinear_warp(image: np.ndarray, src_u: np.ndarray, src_v: np.ndarray) -> np
     v0 = np.floor(v).astype(int)
     u1 = np.minimum(u0 + 1, width - 1)
     v1 = np.minimum(v0 + 1, height - 1)
-    fu = (u - u0)[..., None]
+    # The u weights get the channel axis, so that in a separable warp the
+    # products with a (1, W) row run over whole (W, C) rows of the output.
+    fu = np.repeat((u - u0)[..., None], channels, axis=-1)
     fv = (v - v0)[..., None]
-    out = (
-        img[v0, u0] * (1 - fu) * (1 - fv)
-        + img[v0, u1] * fu * (1 - fv)
-        + img[v1, u0] * (1 - fu) * fv
-        + img[v1, u1] * fu * fv
-    )
+    gu = 1 - fu
+    gv = 1 - fv
+    row0 = v0 * width
+    row1 = v1 * width
+    out = pixels.take(row0 + u0, axis=0) * gu
+    out *= gv
+    term = np.empty_like(out)
+    for index, weight_u, weight_v in ((row0 + u1, fu, gv), (row1 + u0, gu, fv),
+                                      (row1 + u1, fu, fv)):
+        np.multiply(pixels.take(index, axis=0), weight_u, out=term)
+        term *= weight_v
+        out += term
     out[~valid] = 0.0
     return out[..., 0] if squeeze else out
 
@@ -231,7 +247,9 @@ def standardize_intrinsics(image, cam: CameraModel, std_intrinsics=None):
     pinhole pair is the affine map
         u_src = fu_src * (j - cu_std) / fu_std + cu_src   (and likewise for v).
     Coordinates falling outside the source are zero-padded. The returned
-    camera carries the standardized intrinsics and untouched extrinsics.
+    camera carries the standardized intrinsics and untouched extrinsics. The
+    map is separable, so the sampler gets one (1, W) row of u and one (H, 1)
+    column of v.
 
     Returns:
         (warped image as float array, standardized CameraModel)
@@ -241,13 +259,12 @@ def standardize_intrinsics(image, cam: CameraModel, std_intrinsics=None):
     std = np.asarray(std_intrinsics, dtype=float).reshape(4)
     if std[0] <= 0 or std[1] <= 0:
         raise ValueError("standardized focal lengths must be positive")
-    img = np.asarray(image, dtype=float)
+    img = np.asarray(image)
     height, width = img.shape[:2]
     fu_s, fv_s, cu_s, cv_s = cam.intrinsics
     fu_t, fv_t, cu_t, cv_t = std
-    jj, ii = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
-    src_u = fu_s * (jj - cu_t) / fu_t + cu_s
-    src_v = fv_s * (ii - cv_t) / fv_t + cv_s
+    src_u = fu_s * (np.arange(width, dtype=float)[None, :] - cu_t) / fu_t + cu_s
+    src_v = fv_s * (np.arange(height, dtype=float)[:, None] - cv_t) / fv_t + cv_s
     warped = bilinear_warp(img, src_u, src_v)
     new_cam = CameraModel(std, cam.extrinsics.copy(), cam.image_size)
     return warped, new_cam

@@ -5,6 +5,17 @@ a per-pixel depth distribution from image and depth features, collapses the
 point embeddings into a single image position embedding per pixel, and fuses
 everything back into the image feature map. All maps here are affine, taking
 the defining equations literally.
+
+Because the point embedding is affine, PPE(p) = W p + b, and each pixel's
+depth distribution D sums to 1, the collapse needs no (h, w, K, C) array:
+
+    IPE = sum_k D_k (W p_k + b) = W (sum_k D_k p_k) + b = PPE(E[p]),
+
+the embedding of the expected frustum point ``expected_frustum_points``. The
+identity holds for any affine embedding and any normalized distribution (as
+``depth_distribution`` returns), up to rounding; it does not hold for a
+nonlinear embedding. ``point_position_embedding`` and
+``image_position_embedding`` keep the literal two-step definition.
 """
 
 from __future__ import annotations
@@ -112,7 +123,11 @@ def depth_distribution(img: FeatureMap, dep: FeatureMap, fuse: LinearParams,
 
 
 def image_position_embedding(ppe: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Collapse (H, W, K, C) point embeddings with (H, W, K) depth weights."""
+    """Collapse (H, W, K, C) point embeddings with (H, W, K) depth weights.
+
+    For an affine point embedding and normalized weights this equals the
+    embedding of ``expected_frustum_points`` (see the module docstring).
+    """
     ppe = np.asarray(ppe, dtype=float)
     dt = np.asarray(dt, dtype=float)
     if ppe.shape[:3] != dt.shape:

@@ -28,14 +28,13 @@ from .enhancer import (
     FeatureMap,
     depth_distribution,
     expected_frustum_points,
-    image_position_embedding,
     init_linear,
     ipe_correlation_map,
-    point_position_embedding,
 )
 from .evaluation import (
     MetricsReport,
     SizeThresholds,
+    _category_from_record,
     box_record,
     load_detections_jsonl,
     load_gt_jsonl,
@@ -239,43 +238,52 @@ def render_feature_maps(scene: SceneSample, config: RunConfig) -> RenderedScene:
     Background cells are zero. The depth map stores the owning instance's
     center depth.
     """
+    signatures = _instance_signatures(scene, config)
+    views = [_render_view(scene, view, signatures, config) for view in range(len(scene.cameras))]
+    return RenderedScene([v[0] for v in views], [v[1] for v in views], signatures,
+                         [v[2] for v in views])
+
+
+def _instance_signatures(scene: SceneSample, config: RunConfig) -> np.ndarray:
+    """One seeded unit-norm signature row per instance (one row if none)."""
     rng = np.random.default_rng([scene.seed, 0x516])
-    n_inst = len(scene.gt_boxes)
-    signatures = rng.normal(size=(max(n_inst, 1), config.embed_dim))
+    signatures = rng.normal(size=(max(len(scene.gt_boxes), 1), config.embed_dim))
     signatures /= np.linalg.norm(signatures, axis=1, keepdims=True)
+    return signatures
+
+
+def _render_view(scene: SceneSample, view: int, signatures: np.ndarray,
+                 config: RunConfig) -> tuple[FeatureMap, FeatureMap, np.ndarray]:
+    """Image map, depth map and (H, W) owner grid of one view, as described
+    in ``render_feature_maps``."""
+    cam = scene.cameras[view]
     stride = config.feature_stride
     fh = config.image_height // stride
     fw = config.image_width // stride
     cell_u = np.arange(fw) * float(stride)
     cell_v = np.arange(fh) * float(stride)
-    image_maps = []
-    depth_maps = []
-    owners = []
-    for view, cam in enumerate(scene.cameras):
-        owner = np.full((fh, fw), -1, dtype=int)
-        owner_depth = np.full((fh, fw), np.inf)
-        for idx, box in enumerate(scene.gt_boxes):
-            u, v, d = project_points(cam, box_corners(box))
-            front = d > 1e-6
-            if front.sum() < 3:
-                continue
-            rot = cam.extrinsics[:3, :3]
-            center_depth = float((box.center - cam.extrinsics[:3, 3]) @ rot[:, 2])
-            if center_depth <= 0:
-                continue
-            hull = _convex_hull_2d(np.column_stack([u[front], v[front]]))
-            inside = _cells_in_polygon(hull, cell_u, cell_v)
-            closer = inside & (owner_depth > center_depth)
-            owner[closer] = idx
-            owner_depth[closer] = center_depth
-        grid = np.zeros((fh, fw, config.embed_dim))
-        fg = owner >= 0
-        grid[fg] = signatures[owner[fg]]
-        depth_grid = np.where(np.isfinite(owner_depth), owner_depth, 0.0)[..., None]
-        image_maps.append(FeatureMap(view, float(stride), grid))
-        depth_maps.append(FeatureMap(view, float(stride), depth_grid))
-        owners.append(owner)
-    return RenderedScene(image_maps, depth_maps, signatures, owners)
+    owner = np.full((fh, fw), -1, dtype=int)
+    owner_depth = np.full((fh, fw), np.inf)
+    for idx, box in enumerate(scene.gt_boxes):
+        u, v, d = project_points(cam, box_corners(box))
+        front = d > 1e-6
+        if front.sum() < 3:
+            continue
+        rot = cam.extrinsics[:3, :3]
+        center_depth = float((box.center - cam.extrinsics[:3, 3]) @ rot[:, 2])
+        if center_depth <= 0:
+            continue
+        hull = _convex_hull_2d(np.column_stack([u[front], v[front]]))
+        inside = _cells_in_polygon(hull, cell_u, cell_v)
+        closer = inside & (owner_depth > center_depth)
+        owner[closer] = idx
+        owner_depth[closer] = center_depth
+    grid = np.zeros((fh, fw, config.embed_dim))
+    fg = owner >= 0
+    grid[fg] = signatures[owner[fg]]
+    depth_grid = np.where(np.isfinite(owner_depth), owner_depth, 0.0)[..., None]
+    return (FeatureMap(view, float(stride), grid), FeatureMap(view, float(stride), depth_grid),
+            owner)
 
 
 def build_aggregation_params(config: RunConfig, n_views: int, seed=None,
@@ -488,15 +496,15 @@ def pe_heatmap(scene: SceneSample, config: RunConfig, view: int = 0,
                ref: tuple[int, int] | None = None) -> HeatmapResult:
     """Cosine-similarity map of image position embeddings for one view.
 
-    Builds the full position-encoding path (frustum grid, point embeddings,
-    depth distribution from the rendered image/depth features, weighted
-    collapse) with seeded parameters, then correlates every cell's embedding
-    with the reference cell's.
+    Builds the position-encoding path with seeded parameters (frustum grid,
+    depth distribution from the view's rendered image/depth features, image
+    position embeddings), then correlates every cell's embedding with the
+    reference cell's. Only the requested view is rendered. The image
+    position embedding is taken as the embedding of the expected frustum
+    point, which equals the depth-weighted collapse of the point embeddings
+    (see ``mvbox3d.enhancer``) without forming the (h, w, K, C) array.
     """
-    rendered = render_feature_maps(scene, config)
-    cam = scene.cameras[view]
-    img_fm = rendered.image_maps[view]
-    dep_fm = rendered.depth_maps[view]
+    img_fm, dep_fm, _ = _render_view(scene, view, _instance_signatures(scene, config), config)
     h, w = img_fm.grid.shape[:2]
     if ref is None:
         ref = (h // 2, w // 2)
@@ -509,24 +517,21 @@ def pe_heatmap(scene: SceneSample, config: RunConfig, view: int = 0,
     )
     head = init_linear("depth_head", config.embed_dim, config.num_depth_points,
                        [config.seed, 103])
-    grid = frustum_point_grid(cam, (h, w), config.max_depth, config.num_depth_points)
-    ppe = point_position_embedding(grid, point_embed)
+    grid = frustum_point_grid(scene.cameras[view], (h, w), config.max_depth,
+                              config.num_depth_points)
     dt = depth_distribution(img_fm, dep_fm, fuse, head)
-    ipe = image_position_embedding(ppe, dt)
-    similarity = ipe_correlation_map(ipe, ref)
     expected = expected_frustum_points(grid, dt)
+    similarity = ipe_correlation_map(point_embed.apply(expected), ref)
     ray_distance = np.linalg.norm(expected - expected[ref[0], ref[1]], axis=-1)
     return HeatmapResult(similarity, ray_distance, ref)
 
 
 def heatmap_csv(result: HeatmapResult) -> str:
     lines = ["i,j,similarity,ray_distance"]
-    h, w = result.similarity.shape
-    for i in range(h):
-        for j in range(w):
-            lines.append(
-                f"{i},{j},{result.similarity[i, j]:.9g},{result.ray_distance[i, j]:.9g}"
-            )
+    rows = zip(result.similarity.tolist(), result.ray_distance.tolist())
+    for i, (sims, dists) in enumerate(rows):
+        for j, (sim, dist) in enumerate(zip(sims, dists)):
+            lines.append(f"{i},{j},{sim:.9g},{dist:.9g}")
     return "\n".join(lines) + "\n"
 
 
@@ -564,7 +569,7 @@ def scene_to_dict(scene: SceneSample) -> dict:
 def scene_from_dict(data: dict) -> SceneSample:
     try:
         boxes = [Box9DoF(b["center"], b["size"], b["euler"]) for b in data["boxes"]]
-        cats = [int(b["category"]) for b in data["boxes"]]
+        cats = [_category_from_record(b) for b in data["boxes"]]
         cams = [camera_from_dict(c) for c in data["cameras"]]
         return SceneSample(str(data["scene_id"]), int(data["seed"]), cams, boxes, cats)
     except KeyError as exc:

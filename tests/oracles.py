@@ -7,10 +7,27 @@
 * ``chamfer_tie_margin`` / ``pcd_tie_margin``: how close a (pred, gt) pair is
   to a switch of the active corner pairs of the corner chamfer or permutation
   corner loss; finite differences are not compared across such a switch.
+* ``oracle_bilinear_warp`` / ``oracle_standardize_warp``: bilinear sampling
+  from a float64 copy of the image at full-size coordinate arrays, and the
+  intrinsic standardization warp built on full (H, W) index meshgrids.
+* ``oracle_aggregate``: deformable aggregation that samples one key point of
+  one view at a time (``oracle_bilinear_sample``) and adds it to the query's
+  update in a Python double loop.
+* ``oracle_heatmap_csv``: the heatmap CSV formatted from numpy scalars, one
+  indexed cell at a time.
 """
+
+import math
 
 import numpy as np
 
+from mvbox3d.aggregation import (
+    FIXED_KEYPOINT_OFFSETS,
+    aggregation_weights,
+    keypoint_validity,
+    keypoints_world,
+    learnable_keypoint_offsets,
+)
 from mvbox3d.geometry import box_corners, corner_permutation_table, euler_to_rotation
 
 _CLIP_EPS = 1e-9
@@ -157,3 +174,96 @@ def pcd_tie_margin(pred, gt):
     means = np.linalg.norm(pc[None] - orderings, axis=2).mean(axis=1)
     top2 = np.sort(means)[:2]
     return top2[1] - top2[0]
+
+
+def oracle_bilinear_warp(image, src_u, src_v):
+    """Sample ``image`` at same-shape coordinate arrays with zero fill outside."""
+    img = np.asarray(image, dtype=float)
+    squeeze = img.ndim == 2
+    if squeeze:
+        img = img[..., None]
+    height, width = img.shape[:2]
+    valid = (src_u >= 0) & (src_u <= width - 1) & (src_v >= 0) & (src_v <= height - 1)
+    u = np.clip(src_u, 0, width - 1)
+    v = np.clip(src_v, 0, height - 1)
+    u0 = np.floor(u).astype(int)
+    v0 = np.floor(v).astype(int)
+    u1 = np.minimum(u0 + 1, width - 1)
+    v1 = np.minimum(v0 + 1, height - 1)
+    fu = (u - u0)[..., None]
+    fv = (v - v0)[..., None]
+    out = (
+        img[v0, u0] * (1 - fu) * (1 - fv)
+        + img[v0, u1] * fu * (1 - fv)
+        + img[v1, u0] * (1 - fu) * fv
+        + img[v1, u1] * fu * fv
+    )
+    out[~valid] = 0.0
+    return out[..., 0] if squeeze else out
+
+
+def oracle_standardize_warp(image, cam, std_intrinsics):
+    """The image warped to ``std_intrinsics``, sampled at full index meshgrids."""
+    img = np.asarray(image, dtype=float)
+    height, width = img.shape[:2]
+    fu_s, fv_s, cu_s, cv_s = cam.intrinsics
+    fu_t, fv_t, cu_t, cv_t = np.asarray(std_intrinsics, dtype=float)
+    jj, ii = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
+    src_u = fu_s * (jj - cu_t) / fu_t + cu_s
+    src_v = fv_s * (ii - cv_t) / fv_t + cv_s
+    return oracle_bilinear_warp(img, src_u, src_v)
+
+
+def oracle_bilinear_sample(grid, u, v):
+    """Bilinear interpolation of an (H, W, C) grid at one in-range point."""
+    height, width = grid.shape[:2]
+    u0, v0 = int(math.floor(u)), int(math.floor(v))
+    u1, v1 = min(u0 + 1, width - 1), min(v0 + 1, height - 1)
+    du, dv = u - u0, v - v0
+    return (
+        grid[v0, u0] * (1 - du) * (1 - dv)
+        + grid[v0, u1] * du * (1 - dv)
+        + grid[v1, u0] * (1 - du) * dv
+        + grid[v1, u1] * du * dv
+    )
+
+
+def oracle_aggregate(queries, feature_maps, cams, params):
+    """``aggregate`` one query, one key point and one view at a time."""
+    out = []
+    flags = []
+    for query in queries:
+        offsets = np.concatenate(
+            [FIXED_KEYPOINT_OFFSETS,
+             learnable_keypoint_offsets(query.feature, params.offset_params)]
+        )
+        points = keypoints_world(query.anchor, offsets)
+        valid = np.zeros((len(points), len(cams)), dtype=bool)
+        coords = np.zeros((len(points), len(cams), 2))
+        for n, (cam, fm) in enumerate(zip(cams, feature_maps)):
+            ok, fu, fv = keypoint_validity(cam, fm, points, params.max_depth)
+            valid[:, n] = ok
+            coords[:, n, 0] = np.where(ok, fu, 0.0)
+            coords[:, n, 1] = np.where(ok, fv, 0.0)
+        w = aggregation_weights(query, cams, valid, params.weight_params)
+        acc = np.zeros(feature_maps[0].grid.shape[2])
+        for i in range(len(points)):
+            for n in range(len(cams)):
+                if valid[i, n]:
+                    acc += w.weights[i, n] * oracle_bilinear_sample(
+                        feature_maps[n].grid, *coords[i, n])
+        out.append(acc)
+        flags.append(w.all_invalid)
+    return np.asarray(out), flags
+
+
+def oracle_heatmap_csv(result):
+    """The heatmap CSV, formatting one indexed numpy scalar at a time."""
+    lines = ["i,j,similarity,ray_distance"]
+    h, w = result.similarity.shape
+    for i in range(h):
+        for j in range(w):
+            lines.append(
+                f"{i},{j},{result.similarity[i, j]:.9g},{result.ray_distance[i, j]:.9g}"
+            )
+    return "\n".join(lines) + "\n"

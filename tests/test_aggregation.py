@@ -21,6 +21,7 @@ from mvbox3d.aggregation import (
 from mvbox3d.camera import CameraModel, DEFAULT_STD_INTRINSICS, project_points
 from mvbox3d.enhancer import FeatureMap, LinearParams, init_linear
 from mvbox3d.geometry import Box9DoF, box_corners, euler_to_rotation, transform_box
+from oracles import oracle_aggregate, oracle_bilinear_sample
 
 
 def make_camera(euler=(0, 0, 0), translation=(0, 0, 0), size=(512, 512)):
@@ -131,6 +132,16 @@ class TestBilinearSample:
         fm = constant_map(1.0, h=4, w=4)
         with pytest.raises(ValueError):
             bilinear_sample(fm, (3.5, 0.0))
+
+    def test_matches_point_oracle_bitwise(self):
+        rng = np.random.default_rng(12)
+        fm = FeatureMap(0, 8.0, rng.normal(size=(7, 9, 5)))
+        points = [(0.0, 0.0), (8.0, 6.0), (8.0, 0.3), (3.25, 6.0)]
+        points += [tuple(p) for p in rng.uniform([0, 0], [8, 6], (40, 2))]
+        for u, v in points:
+            got = bilinear_sample(fm, (u, v))
+            assert got.shape == (5,)
+            assert got.tobytes() == oracle_bilinear_sample(fm.grid, u, v).tobytes()
 
 
 class TestAggregationWeights:
@@ -274,6 +285,59 @@ class TestAggregate:
         fa, _ = aggregate([query], maps_a, cams, params)
         fb, _ = aggregate([query], maps_b, cams, params)
         assert np.array_equal(fa, fb)
+
+
+class TestAggregateOracle:
+    """``aggregate`` against the per-key-point, per-view loop."""
+
+    def _scene(self, seed, n_views=3, c=6):
+        rng = np.random.default_rng(seed)
+        cams = [make_camera(euler=(0, rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3)),
+                            translation=(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5), 0))
+                for _ in range(n_views)]
+        maps = [FeatureMap(i, 8.0, rng.normal(size=(64, 64, c))) for i in range(n_views)]
+        params = AggregationParams(
+            init_linear("offsets", c, 27, [seed, 1]),
+            init_linear("weights", c + 9 + 16 * n_views, 16 * n_views, [seed, 2]),
+            8.0,
+        )
+        return rng, cams, maps, params
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_queries_match_oracle(self, seed):
+        rng, cams, maps, params = self._scene(seed)
+        queries = [
+            Query(rng.normal(size=6),
+                  Box9DoF(rng.uniform([-2, -1.5, 1.5], [2, 1.5, 7]),
+                          rng.uniform(0.3, 2.5, 3), rng.uniform(-1, 1, 3)))
+            for _ in range(5)
+        ]
+        feats, flags = aggregate(queries, maps, cams, params)
+        want, want_flags = oracle_aggregate(queries, maps, cams, params)
+        assert feats.shape == (5, 6) and flags == want_flags
+        assert np.max(np.abs(feats - want)) <= 1e-12
+
+    def test_partly_visible_and_all_invalid_queries(self):
+        rng, cams, maps, params = self._scene(11, n_views=2)
+        edge = Query(rng.normal(size=6), Box9DoF([1.6, 0.0, 3.0], [1.5, 1.2, 1.0], [0, 0, 0]))
+        behind = Query(rng.normal(size=6), Box9DoF([0, 0, -5], [0.5, 0.6, 0.7], [0, 0, 0]))
+        centered = Query(rng.normal(size=6), Box9DoF([0, 0, 3], [0.8, 0.6, 0.7], [0.1, 0, 0]))
+        queries = [edge, behind, centered]
+        offsets = np.concatenate(
+            [FIXED_KEYPOINT_OFFSETS, learnable_keypoint_offsets(edge.feature, params.offset_params)]
+        )
+        visible = keypoint_validity(cams[0], maps[0], keypoints_world(edge.anchor, offsets), 8.0)[0]
+        assert visible.any() and not visible.all()
+        feats, flags = aggregate(queries, maps, cams, params)
+        want, want_flags = oracle_aggregate(queries, maps, cams, params)
+        assert flags == want_flags == [False, True, False]
+        assert np.all(feats[1] == 0.0)
+        assert np.max(np.abs(feats - want)) <= 1e-12
+
+    def test_no_queries(self):
+        _, cams, maps, params = self._scene(3)
+        feats, flags = aggregate([], maps, cams, params)
+        assert feats.shape == (0,) and flags == []
 
 
 class TestGenerateAnchors:

@@ -23,6 +23,7 @@ from mvbox3d.camera import (
 )
 from mvbox3d.geometry import euler_to_rotation
 from mvbox3d.rasters import read_pgm, read_ppm, write_pgm, write_ppm
+from oracles import oracle_bilinear_warp, oracle_standardize_warp
 
 
 def make_camera(euler=(0, 0, 0), translation=(0, 0, 0), size=(512, 512)):
@@ -240,6 +241,54 @@ class TestStandardize:
         img = np.array([[0.0, 2.0], [4.0, 6.0]])
         out = bilinear_warp(img, np.array([[0.5]]), np.array([[0.5]]))
         assert out[0, 0] == pytest.approx(3.0)
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestSamplerOracle:
+    """The broadcasting sampler against full-size coordinate arrays."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, float])
+    @pytest.mark.parametrize("channels", [None, 3])
+    @pytest.mark.parametrize("zoom", [0.6, 1.0, 1.7])
+    def test_standardize_bitwise_equal(self, dtype, channels, zoom):
+        rng = np.random.default_rng([int(10 * zoom), channels or 1])
+        height, width = 37, 52
+        shape = (height, width) if channels is None else (height, width, channels)
+        if dtype is np.uint8:
+            img = rng.integers(0, 256, shape).astype(np.uint8)
+        else:
+            img = rng.normal(size=shape) * 40.0
+        cam = CameraModel([60.0, 55.0, 25.3, 18.1], np.eye(4), (width, height))
+        std = (60.0 * zoom, 55.0 * zoom * 1.1, 26.0, 17.5)
+        warped, _ = standardize_intrinsics(img, cam, std)
+        expected = oracle_standardize_warp(img, cam, std)
+        assert bitwise_equal(warped, expected)
+        if zoom < 1.0:  # wider virtual field of view: zero-filled border
+            assert np.all(warped[0] == 0.0) and np.all(warped[:, 0] == 0.0)
+            assert np.any(warped != 0.0)
+
+    def test_scattered_points_bitwise_equal(self):
+        rng = np.random.default_rng(8)
+        img = rng.normal(size=(9, 14, 5))
+        u = rng.uniform(-1.0, 14.0, 200)
+        v = rng.uniform(-1.0, 9.0, 200)
+        u[:3] = [0.0, 13.0, 13.0]  # exact borders of the footprint
+        v[:3] = [0.0, 8.0, 0.0]
+        assert bitwise_equal(bilinear_warp(img, u, v), oracle_bilinear_warp(img, u, v))
+
+    def test_broadcast_rows_match_meshgrid(self):
+        rng = np.random.default_rng(9)
+        img = rng.integers(0, 256, (20, 30, 3)).astype(np.uint8)
+        u = rng.uniform(-2.0, 31.0, (1, 25))
+        v = rng.uniform(-2.0, 21.0, (16, 1))
+        uu, vv = np.broadcast_arrays(u, v)
+        out = bilinear_warp(img, u, v)
+        assert out.shape == (16, 25, 3) and out.dtype == np.float64
+        assert bitwise_equal(out, bilinear_warp(img, uu.copy(), vv.copy()))
+        assert bitwise_equal(out, oracle_bilinear_warp(img, uu, vv))
 
 
 class TestCameraJson:

@@ -72,6 +72,18 @@ class TestRender:
         err = capsys.readouterr().err
         assert err == f"error: malformed scene record: missing field '{field}'\n"
 
+    @pytest.mark.parametrize("category", [1.7, "2", True, None])
+    def test_scene_non_integer_category_exit_one(self, tmp_path, capsys, category):
+        scene = tmp_path / "scene.json"
+        run(["gen-scene", "--seed", "1", "--out", str(scene)])
+        data = json.loads(scene.read_text())
+        data["boxes"][0]["category"] = category
+        scene.write_text(json.dumps(data))
+        code = run(["render", "--scene", str(scene), "--out-dir", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: category must be an integer, got {category!r}\n"
+
 class TestStandardize:
     def test_default_intrinsics_output(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

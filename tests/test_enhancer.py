@@ -234,6 +234,20 @@ class TestSpatialSensitivity:
         moved, _, _ = self._ipe_for_camera(make_camera(euler=(0, 0, 1.0)))
         assert np.max(np.abs(base - moved)) > 1e-3
 
+    def test_ipe_is_embedding_of_expected_point(self):
+        # affine embedding with a nonzero bias, normalized depth weights
+        rng = np.random.default_rng(21)
+        cam = make_camera(euler=(0.2, -0.1, 0.5), translation=(0.4, -0.3, 1.0))
+        grid = frustum_point_grid(cam, (7, 5), 10.0, 12)
+        embed = LinearParams(rng.normal(size=(16, 3)), rng.normal(size=16) * 3.0, "pe")
+        dt = depth_distribution(
+            feature_map(rng, 7, 5, 8), feature_map(rng, 7, 5, 1),
+            init_linear("fuse", 9, 8, 22), init_linear("head", 8, 12, 23),
+        )
+        literal = image_position_embedding(point_position_embedding(grid, embed), dt)
+        via_mean = embed.apply(expected_frustum_points(grid, dt))
+        assert np.max(np.abs(via_mean - literal)) <= 1e-12
+
     def test_expected_points_match_hand_sum(self):
         cam = make_camera()
         _, grid, dt = self._ipe_for_camera(cam)

@@ -2,12 +2,21 @@
 fitting behavior, heatmaps, and the evaluation runner."""
 
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mvbox3d.camera import in_frustum, project
+from mvbox3d.camera import frustum_point_grid, in_frustum, project
 from mvbox3d.config import RunConfig
+from mvbox3d.enhancer import (
+    depth_distribution,
+    image_position_embedding,
+    init_linear,
+    ipe_correlation_map,
+    point_position_embedding,
+)
 from mvbox3d.geometry import (
     Box9DoF,
     box_corners,
@@ -29,11 +38,14 @@ from mvbox3d.harness import (
     run_eval,
     run_fit_benchmark,
     save_scene_json,
+    scene_from_dict,
     scene_gt_record,
     scene_to_dict,
     signature_recovery,
     svg_line_chart,
 )
+
+from oracles import oracle_heatmap_csv
 
 FAST_FIT = RunConfig(fit_steps=300)
 RECOVERY = RunConfig(max_boxes=4, min_cameras=5, min_box_separation=1.8, box_size_max=0.7)
@@ -72,6 +84,13 @@ class TestGenScene:
         save_scene_json(path, scene)
         loaded = load_scene_json(path)
         assert scene_to_dict(loaded) == scene_to_dict(scene)
+
+    @pytest.mark.parametrize("category", [1.7, "2", True, None])
+    def test_non_integer_category_rejected(self, category):
+        data = scene_to_dict(gen_scene(RunConfig(), 1))
+        data["boxes"][0]["category"] = category
+        with pytest.raises(ValueError, match=re.escape(f"category must be an integer, got {category!r}")):
+            scene_from_dict(data)
 
     def test_gt_record_schema(self):
         scene = gen_scene(RunConfig(), 1)
@@ -270,6 +289,44 @@ class TestPeHeatmap:
         scene = gen_scene(RunConfig(), 4)
         text = heatmap_csv(pe_heatmap(scene, RunConfig()))
         assert text.startswith("i,j,similarity,ray_distance")
+
+    def test_heatmap_csv_matches_scalar_formatting(self):
+        result = pe_heatmap(gen_scene(RunConfig(), 6), RunConfig())
+        assert heatmap_csv(result) == oracle_heatmap_csv(result)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 12])
+    def test_similarity_matches_literal_collapse(self, seed):
+        # IPE = sum_k D_k PPE(p_k), formed as the full (h, w, K, C) array
+        config = RunConfig()
+        scene = gen_scene(config, seed)
+        rendered = render_feature_maps(scene, config)
+        for view in sorted({0, len(scene.cameras) - 1, seed % len(scene.cameras)}):
+            result = pe_heatmap(scene, config, view=view)
+            img_fm, dep_fm = rendered.image_maps[view], rendered.depth_maps[view]
+            h, w = img_fm.grid.shape[:2]
+            grid = frustum_point_grid(scene.cameras[view], (h, w), config.max_depth,
+                                      config.num_depth_points)
+            point_embed = init_linear("point_embed", 3, config.embed_dim, [config.seed, 101])
+            fuse = init_linear("depth_fuse", img_fm.grid.shape[2] + dep_fm.grid.shape[2],
+                               config.embed_dim, [config.seed, 102])
+            head = init_linear("depth_head", config.embed_dim, config.num_depth_points,
+                               [config.seed, 103])
+            dt = depth_distribution(img_fm, dep_fm, fuse, head)
+            ipe = image_position_embedding(point_position_embedding(grid, point_embed), dt)
+            literal = ipe_correlation_map(ipe, (h // 2, w // 2))
+            assert np.max(np.abs(result.similarity - literal)) <= 1e-12
+
+    def test_traced_peak_memory_bound(self):
+        # the dense (h, w, K, C) point-embedding array alone is 67 MB here
+        config = RunConfig()
+        scene = gen_scene(config, 0)
+        tracemalloc.start()
+        try:
+            pe_heatmap(scene, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestRunEval:
