@@ -7,6 +7,7 @@ aggregate-demo. Exit codes: 0 success, 2 usage error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -227,10 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with one parser per process; build_parser returns a fresh one
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -346,8 +346,10 @@ class FitTrace:
     losses: np.ndarray  # (steps,)
     grad_norms: np.ndarray  # (steps,)
     params: np.ndarray  # (steps, 9)
+    boosted: np.ndarray  # (steps,) bool: the step took stall-boosted shape steps
     final_box: Box9DoF
     final_loss: float
+    best_step: int  # index of the lowest loss in ``losses``
     symmetry_applied: bool = False
 
 
@@ -392,6 +394,7 @@ def fit_single_box(gt: Box9DoF, init: Box9DoF, loss_kind: str,
     losses = np.empty(steps)
     grad_norms = np.empty(steps)
     traj = np.empty((steps, 9))
+    boosted_steps = np.zeros(steps, dtype=bool)
     blocks = (slice(0, 3), slice(3, 6), slice(6, 9))
     boosted = False
     for step in range(steps):
@@ -409,6 +412,7 @@ def fit_single_box(gt: Box9DoF, init: Box9DoF, loss_kind: str,
             boosted = window_drop < _STALL_ENTER_DROP and res.value > _STALL_LOSS_FLOOR
         elif res.value <= _STALL_LOSS_FLOOR or window_drop > _STALL_EXIT_DROP:
             boosted = False
+        boosted_steps[step] = boosted
         new_params = params.copy()
         for blk in blocks:
             g = res.grad[blk]
@@ -426,8 +430,8 @@ def fit_single_box(gt: Box9DoF, init: Box9DoF, loss_kind: str,
     if losses[best] < final_loss:
         final_params = traj[best]
         final_loss = float(losses[best])
-    return FitTrace(losses, grad_norms, traj, Box9DoF.from_params(final_params),
-                    final_loss)
+    return FitTrace(losses, grad_norms, traj, boosted_steps,
+                    Box9DoF.from_params(final_params), final_loss, best)
 
 
 def fit_boxes(scene: SceneSample, loss_kind: str, config: RunConfig) -> list[FitTrace]:

@@ -57,19 +57,31 @@ def cost_matrix(preds, gts, weights: LossWeights, box_loss_kind: str) -> np.ndar
     )
 
 
-def _optimal_cost(cost: np.ndarray) -> float:
-    if cost.shape[0] == 0 or cost.shape[1] == 0:
-        return 0.0
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
-
-
 def hungarian(cost) -> list[tuple[int, int]]:
     """Minimum-cost one-to-one assignment of min(P, G) pairs.
 
     Among all optimal assignments, returns the lexicographically smallest
-    pair list (pairs sorted by prediction index). Resolved by fixing rows in
-    order and re-solving the remainder, so ties are broken deterministically.
+    pair list (pairs sorted by prediction index), with costs within a
+    relative ``_TIE_TOL`` of each other counted as ties. One
+    ``linear_sum_assignment`` solve does all the optimization:
+
+    1. The matrix is padded to n x n, n = max(P, G), with zero-cost dummy
+       rows or columns; a row that takes a dummy column is left unmatched.
+       Dummy indices sort after every real one, so matching a row beats
+       leaving it unmatched, as in the pair-list order.
+    2. Dual potentials u, v (u_i + v_j <= c_ij, equal on the solved pairs)
+       are the shortest distances in the residual graph of that matching,
+       by Bellman-Ford over the columns: v_j <= v_m(i) + c_ij - c_i,m(i),
+       where m(i) is row i's column, one vectorized relaxation per round.
+    3. An assignment is optimal exactly when all its pairs are tight
+       (reduced cost c_ij - u_i - v_j within the tolerance), so the
+       tie-break only needs the tight subgraph.
+    4. Rows are fixed in order. Row i keeps its column a unless a tight,
+       smaller real column j is still free and the row holding j can
+       reach a along an alternating path of tight edges through unfixed
+       rows; one backward search from a finds every such row, the
+       smallest such j is taken and the path is flipped. Without ties no
+       row has a smaller tight column, and no search runs.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] == 0:
@@ -77,29 +89,43 @@ def hungarian(cost) -> list[tuple[int, int]]:
     if not np.all(np.isfinite(c)):
         raise ValueError("cost matrix must be finite")
     n_rows, n_cols = c.shape
-    best = _optimal_cost(c)
-    tol = _TIE_TOL * max(1.0, abs(best))
-    pairs: list[tuple[int, int]] = []
-    used_cols: list[int] = []
-    fixed_cost = 0.0
-    for row in range(n_rows):
-        if len(pairs) == min(n_rows, n_cols):
+    n = max(n_rows, n_cols)
+    square = np.zeros((n, n))
+    square[:n_rows, :n_cols] = c
+    col = linear_sum_assignment(square)[1]
+    solved = square[np.arange(n), col]
+    tol = _TIE_TOL * max(1.0, abs(float(solved.sum())))
+    v = np.zeros(n)
+    for _ in range(n):
+        relaxed = np.minimum(v, (square + (v[col] - solved)[:, None]).min(axis=0))
+        if not (relaxed < v).any():
             break
-        free_cols = [g for g in range(n_cols) if g not in used_cols]
-        remaining_rows = np.arange(row + 1, n_rows)
-        assigned = None
-        for g in free_cols:
-            rest_cols = [x for x in free_cols if x != g]
-            rest = c[np.ix_(remaining_rows, rest_cols)] if rest_cols else np.zeros((0, 0))
-            total = fixed_cost + c[row, g] + _optimal_cost(rest)
-            if total <= best + tol:
-                assigned = g
+        v = relaxed
+    tight = square - (solved - v[col])[:, None] - v <= tol
+    tight[np.arange(n), col] = True  # solved pairs are tight; rounding must not drop one
+    first_tight = tight.argmax(axis=1).tolist()
+    match, holder = col.tolist(), np.argsort(col).tolist()
+    for i in range(n_rows):
+        a = match[i]
+        if first_tight[i] >= min(a, n_cols):
+            continue
+        # backward search from column a over the unfixed rows: step[r] is the
+        # column row r moves to on an alternating path that ends by freeing a
+        step, frontier = {}, [a]
+        while frontier:
+            target = frontier.pop()
+            for r in (np.flatnonzero(tight[i + 1:, target]) + i + 1).tolist():
+                if r not in step:
+                    step[r] = target
+                    frontier.append(match[r])
+        for j in np.flatnonzero(tight[i, :min(a, n_cols)]).tolist():
+            if holder[j] in step:
+                r = holder[j]
+                match[i], holder[j] = j, i
+                while r != i:  # the path ends at a, whose old holder is i
+                    match[r], holder[step[r]], r = step[r], r, holder[step[r]]
                 break
-        if assigned is not None:
-            pairs.append((row, assigned))
-            used_cols.append(assigned)
-            fixed_cost += c[row, assigned]
-    return pairs
+    return [(i, m) for i, m in enumerate(match[:n_rows]) if m < n_cols]
 
 
 @dataclass(frozen=True)
@@ -130,16 +156,14 @@ def matched_loss(preds, gts, weights: LossWeights, box_loss_kind: str) -> Matche
         preds: list of (Box9DoF, logits vector).
         gts: list of (Box9DoF, class id); may be empty, in which case every
             prediction receives the background classification loss only.
+            With no predictions the result is ``MatchedLoss([], [], 0.0)``.
     """
     logits = [np.asarray(l, dtype=float).reshape(-1) for _, l in preds]
-    if gts:
+    assignment = []
+    if preds and gts:
         probs = [1.0 / (1.0 + np.exp(-l)) for l in logits]
-        cost = cost_matrix(
-            [(box, pr) for (box, _), pr in zip(preds, probs)], gts, weights, box_loss_kind
-        )
-        assignment = hungarian(cost)
-    else:
-        assignment = []
+        assignment = hungarian(cost_matrix(
+            [(box, pr) for (box, _), pr in zip(preds, probs)], gts, weights, box_loss_kind))
     matched = dict(assignment)
     # prediction index -> (value, box gradient, logits gradient)
     terms = {}

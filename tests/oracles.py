@@ -15,11 +15,15 @@
   update in a Python double loop.
 * ``oracle_heatmap_csv``: the heatmap CSV formatted from numpy scalars, one
   indexed cell at a time.
+* ``oracle_hungarian``: the lexicographically smallest optimal assignment
+  found by fixing one row at a time and re-solving the rest with
+  ``linear_sum_assignment``, O(P * G) solves per call.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from mvbox3d.aggregation import (
     FIXED_KEYPOINT_OFFSETS,
@@ -29,6 +33,7 @@ from mvbox3d.aggregation import (
     learnable_keypoint_offsets,
 )
 from mvbox3d.geometry import box_corners, corner_permutation_table, euler_to_rotation
+from mvbox3d.matching import _TIE_TOL
 
 _CLIP_EPS = 1e-9
 
@@ -267,3 +272,48 @@ def oracle_heatmap_csv(result):
                 f"{i},{j},{result.similarity[i, j]:.9g},{result.ray_distance[i, j]:.9g}"
             )
     return "\n".join(lines) + "\n"
+
+
+def _optimal_cost(cost):
+    if cost.shape[0] == 0 or cost.shape[1] == 0:
+        return 0.0
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
+
+
+def oracle_hungarian(cost):
+    """Minimum-cost one-to-one assignment of min(P, G) pairs.
+
+    Among all optimal assignments, returns the lexicographically smallest
+    pair list (pairs sorted by prediction index). Resolved by fixing rows in
+    order and re-solving the remainder, so ties are broken deterministically.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] == 0:
+        raise ValueError("cost matrix must be 2-D and nonempty")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("cost matrix must be finite")
+    n_rows, n_cols = c.shape
+    best = _optimal_cost(c)
+    tol = _TIE_TOL * max(1.0, abs(best))
+    pairs: list[tuple[int, int]] = []
+    used_cols: list[int] = []
+    fixed_cost = 0.0
+    for row in range(n_rows):
+        if len(pairs) == min(n_rows, n_cols):
+            break
+        free_cols = [g for g in range(n_cols) if g not in used_cols]
+        remaining_rows = np.arange(row + 1, n_rows)
+        assigned = None
+        for g in free_cols:
+            rest_cols = [x for x in free_cols if x != g]
+            rest = c[np.ix_(remaining_rows, rest_cols)] if rest_cols else np.zeros((0, 0))
+            total = fixed_cost + c[row, g] + _optimal_cost(rest)
+            if total <= best + tol:
+                assigned = g
+                break
+        if assigned is not None:
+            pairs.append((row, assigned))
+            used_cols.append(assigned)
+            fixed_cost += c[row, assigned]
+    return pairs

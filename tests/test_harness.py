@@ -268,6 +268,26 @@ class TestPerturbAndFit:
         assert a == b
         assert a.startswith("instance,step,loss,grad_norm,symmetry")
 
+    def test_trace_records_best_step_and_boosted_steps(self):
+        # an init reparameterized by a far symmetry stalls the wd fit, which
+        # then switches to boosted shape steps; a fit from the optimum never does
+        rng = np.random.default_rng([88, 0])
+        gt = random_box(rng)
+        jittered, _ = perturb_box(gt, rng, FAST_FIT, force_symmetry=False)
+        init = reparameterize_box(jittered, signed_permutations()[17])
+        stalled = fit_single_box(gt, init, "wd", FAST_FIT)
+        still = fit_single_box(gt, gt, "wd", FAST_FIT)
+        for trace in (stalled, still):
+            assert trace.best_step == int(np.argmin(trace.losses))
+            assert trace.final_loss <= trace.losses[trace.best_step]
+            assert trace.boosted.dtype == bool
+            assert trace.boosted.shape == trace.losses.shape
+        assert not still.boosted.any()
+        first = int(np.argmax(stalled.boosted))
+        assert stalled.boosted[first]
+        # the boost starts only after a 60-step window dropped less than 0.005
+        assert first >= 60
+        assert stalled.losses[first - 60] - stalled.losses[first] < 0.005
 
 class TestPeHeatmap:
     def test_reference_similarity_one(self):

@@ -5,10 +5,14 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from mvbox3d import matching
 from mvbox3d.geometry import Box9DoF, reparameterize_box, signed_permutations
 from mvbox3d.losses import LossWeights, center_loss, focal_loss, get_box_loss, total_loss
-from mvbox3d.matching import cost_matrix, focal_cost, hungarian, matched_loss
+from mvbox3d.matching import MatchedLoss, cost_matrix, focal_cost, hungarian, matched_loss
+
+from oracles import oracle_hungarian
 
 PERMS = signed_permutations()
 
@@ -142,6 +146,33 @@ class TestBroadcastCostMatrix:
             assert np.array_equal(cost[row], cost[j])
 
 
+def _tie_cases():
+    """Cost matrices with exact ties, one named ``pytest.param`` per case."""
+    rng = np.random.default_rng(16)
+    cases = []
+    for n_rows in range(1, 7):
+        for n_cols in range(1, 7):
+            for k in range(3):
+                cost = rng.integers(0, 3, (n_rows, n_cols)).astype(float)
+                cases.append(pytest.param(cost, id=f"int012-{n_rows}x{n_cols}-{k}"))
+    for shape in [(1, 1), (1, 5), (5, 1), (3, 3), (4, 6), (6, 4)]:
+        cases.append(pytest.param(np.full(shape, 1.5), id=f"all-equal-{shape[0]}x{shape[1]}"))
+    for k in range(6):
+        base = rng.integers(0, 4, (3, 4)).astype(float)
+        cost = base[rng.integers(0, 3, 5)][:, rng.integers(0, 4, 6 - k % 2)]
+        cases.append(pytest.param(cost, id=f"duplicated-{k}"))
+    for k in range(6):
+        shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        cases.append(pytest.param(-rng.integers(0, 4, shape).astype(float), id=f"negative-{k}"))
+    for k in range(6):
+        shape = (int(rng.integers(2, 7)), int(rng.integers(2, 7)))
+        cases.append(pytest.param(1e6 + rng.integers(0, 2, shape), id=f"offset-1e6-{k}"))
+    for k in range(4):
+        cases.append(pytest.param(rng.integers(0, 2, (1, 6)).astype(float), id=f"one-row-{k}"))
+        cases.append(pytest.param(rng.integers(0, 2, (6, 1)).astype(float), id=f"one-col-{k}"))
+    return cases
+
+
 class TestHungarian:
     def test_two_by_two(self):
         pairs = hungarian([[1.0, 2.0], [3.0, 0.0]])
@@ -188,6 +219,45 @@ class TestHungarian:
             hungarian(np.zeros((0, 2)))
         with pytest.raises(ValueError):
             hungarian(np.array([[np.inf, 1.0]]))
+
+    @pytest.mark.parametrize("cost", _tie_cases())
+    def test_exact_ties_match_oracle_pairs(self, cost):
+        assert hungarian(cost) == oracle_hungarian(cost) == brute_force_optimum(cost)[1]
+
+    @pytest.mark.parametrize("kind", ["wd", "pcd"])
+    def test_cost_matrix_with_duplicates_matches_oracle(self, kind):
+        rng = np.random.default_rng(13)
+        gts = [(random_box(rng), int(rng.integers(0, 4))) for _ in range(20)]
+        preds = [(reparameterize_box(box, PERMS[int(rng.integers(48))]),
+                  rng.uniform(0.05, 0.95, 4)) for box, _ in gts[:12]]
+        preds += [(random_box(rng), rng.uniform(0.05, 0.95, 4)) for _ in range(24)]
+        preds += [preds[int(j)] for j in rng.integers(0, len(preds), 12)]
+        order = rng.permutation(len(preds))
+        preds = [preds[j] for j in order]
+        cost = cost_matrix(preds, gts, LossWeights(), kind)
+        assert cost.shape == (48, 20)
+        assert len({row.tobytes() for row in cost}) < 48
+        assert hungarian(cost) == oracle_hungarian(cost)
+        assert hungarian(cost.T) == oracle_hungarian(cost.T)
+
+    def test_solves_once(self, monkeypatch):
+        calls = []
+
+        def counting_lsap(cost):
+            calls.append(np.shape(cost))
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", counting_lsap)
+        cost = np.random.default_rng(14).integers(0, 2, (9, 6)).astype(float)
+        assert hungarian(cost) == oracle_hungarian(cost)
+        assert calls == [(9, 9)]
+        rng = np.random.default_rng(15)
+        gts = [(random_box(rng), 0) for _ in range(4)]
+        preds = [(box, np.array([1.0])) for box, _ in gts] * 2
+        calls.clear()
+        result = matched_loss(preds, gts, LossWeights(), "wd")
+        assert calls == [(8, 8)]
+        assert result.assignment == [(0, 0), (1, 1), (2, 2), (3, 3)]
 
 
 class TestMatchedLoss:
@@ -252,6 +322,12 @@ class TestMatchedLoss:
             assert pl.value == pytest.approx(value, abs=1e-12)
             assert np.max(np.abs(pl.box_grad - box_grad)) < 1e-12
             assert np.max(np.abs(pl.logits_grad - logits_grad)) < 1e-12
+
+    @pytest.mark.parametrize("n_gt", [0, 2])
+    def test_no_predictions(self, n_gt):
+        rng = np.random.default_rng(17)
+        gts = [(random_box(rng), 0) for _ in range(n_gt)]
+        assert matched_loss([], gts, LossWeights(), "wd") == MatchedLoss([], [], 0.0)
 
     def test_no_ground_truth(self):
         rng = np.random.default_rng(7)
