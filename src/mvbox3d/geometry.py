@@ -129,23 +129,31 @@ def euler_to_rotation(euler) -> np.ndarray:
     """Rotation matrices Rz(yaw) Ry(pitch) Rx(roll) of (..., 3) Euler angles,
     shape (..., 3, 3). Corners, the Gaussian form and the loss gradients are
     all built on this one function."""
+    return _rotation_trig(euler)[0]
+
+
+def _rotation_trig(euler):
+    """``euler_to_rotation`` with the angles' cosines and sines."""
     e = np.asarray(euler, dtype=float)
     if e.shape[-1:] != (3,):
         raise ValueError(f"euler must have exactly 3 components, got shape {np.shape(euler)}")
     if not np.isfinite(e).all():
         raise ValueError(f"euler must be finite, got {e}")
-    # angle axis first; a single (3,) triple unpacks into Python floats, which
-    # keeps the per-box call cheap
-    first = (e.ndim - 1,) + tuple(range(e.ndim - 1))
-    c, s = np.cos(e).transpose(first), np.sin(e).transpose(first)
-    (cr, cp, cy), (sr, sp, sy) = (c.tolist(), s.tolist()) if e.ndim == 1 else (c, s)
+    single = e.size == 3  # a (3,) or (1, 3) triple unpacks into Python floats: cheaper, same bits
+    if single:
+        (cr, cp, cy), (sr, sp, sy) = np.cos(e).ravel().tolist(), np.sin(e).ravel().tolist()
+    else:  # angle axis first
+        first = (e.ndim - 1,) + tuple(range(e.ndim - 1))
+        (cr, cp, cy), (sr, sp, sy) = np.cos(e).transpose(first), np.sin(e).transpose(first)
     a, b = cy * sp, sy * sp
     rot = np.array([
         [cy * cp, a * sr - sy * cr, a * cr + sy * sr],
         [sy * cp, b * sr + cy * cr, b * cr - cy * sr],
         [-sp, cp * sr, cp * cr],
     ])
-    return rot.transpose(tuple(range(2, rot.ndim)) + (0, 1))
+    rot = rot.reshape(e.shape[:-1] + (3, 3)) if single else rot.transpose(
+        tuple(range(2, rot.ndim)) + (0, 1))
+    return rot, (cr, cp, cy), (sr, sp, sy)
 
 
 def rotation_to_euler(rot) -> np.ndarray:
@@ -177,12 +185,11 @@ def rotation_derivatives(euler):
     Returns (R, dR) with R of shape (..., 3, 3) and dR[..., k, :, :] =
     dR/d euler[k] = [a_k]x R, for the Euler axes a = (Rz Ry e_x, Rz e_y, e_z).
     """
-    rot = euler_to_rotation(euler)
-    yaw = np.asarray(euler, dtype=float)[..., 2]
+    rot, (_, _, cos_yaw), (_, _, sin_yaw) = _rotation_trig(euler)
     axes = np.zeros(rot.shape)
     axes[..., 0, :] = rot[..., :, 0]
-    axes[..., 1, 0] = -np.sin(yaw)
-    axes[..., 1, 1] = np.cos(yaw)
+    axes[..., 1, 0] = -sin_yaw
+    axes[..., 1, 1] = cos_yaw
     axes[..., 2, 2] = 1.0
     return rot, (axes @ _SKEW).reshape(rot.shape[:-2] + (3, 3, 3)) @ rot[..., None, :, :]
 
@@ -227,20 +234,10 @@ _SIGNED_PERMS = signed_permutations()
 
 def corner_permutation_table() -> np.ndarray:
     """(48, 8) index table: row g, entry i gives the original-corner index that
-    corner i of the g-th signed-permutation reparameterization coincides with."""
-    table = np.zeros((48, 8), dtype=int)
-    for g, perm in enumerate(_SIGNED_PERMS):
-        rows = np.argmax(np.abs(perm), axis=0)  # rows[q]: image axis of column q
-        signs = perm[rows, np.arange(3)]
-        for i in range(8):
-            bits = [0, 0, 0]
-            for q in range(3):
-                b = (i >> (2 - q)) & 1
-                if signs[q] < 0:
-                    b ^= 1
-                bits[rows[q]] = b
-            table[g, i] = bits[0] * 4 + bits[1] * 2 + bits[2]
-    return table
+    corner i of the g-th signed-permutation reparameterization coincides with:
+    the corner whose local offset has the signs of P_g times corner i's."""
+    signs = np.einsum("gij,kj->gik", np.array(_SIGNED_PERMS), CORNER_OFFSETS) > 0
+    return np.array([4, 2, 1]) @ signs  # signs: (48, 3 axes, 8 corners)
 
 
 def reparameterize_box(box: Box9DoF, perm: np.ndarray) -> Box9DoF:

@@ -44,12 +44,13 @@ from .evaluation import (
 from .geometry import (
     _SIGNED_PERMS,
     Box9DoF,
+    _params_matrix,
     box_corners,
     box_iou,
     nms,
     reparameterize_box,
 )
-from .losses import get_box_loss
+from .losses import get_box_loss, prepare_target
 
 _MIN_FIT_SIZE = 1e-3
 
@@ -67,6 +68,7 @@ _STALL_ENTER_DROP = 0.005
 _STALL_EXIT_DROP = 0.05
 _STALL_LOSS_FLOOR = 5e-3
 _GRAD_TINY = 1e-12
+_SHAPE_BLOCKS = np.array([[False], [True], [True]])
 
 
 @dataclass
@@ -370,79 +372,84 @@ def perturb_box(gt: Box9DoF, rng: np.random.Generator, config: RunConfig,
     return box, apply_sym
 
 
-def fit_single_box(gt: Box9DoF, init: Box9DoF, loss_kind: str,
-                   config: RunConfig) -> FitTrace:
-    """Gradient descent on the chosen box loss from ``init`` toward ``gt``.
+def fit_batch(gt, init, loss_kind: str, config: RunConfig) -> list[FitTrace]:
+    """Gradient descent on the chosen box loss from each row of ``init`` toward
+    the same row of ``gt``, both (N, 9) arrays or N-box sequences: one trace
+    per row. All rows run in lock step, one loss call per step against a
+    ``losses.PreparedTarget``; each keeps its own step caps and boost state,
+    so its trace is bitwise the one-row fit.
 
-    Uses a fixed step size with the step length capped at the learning rate
-    per parameter block (center / size / euler): the blocks live on
-    different scales, the Wasserstein gradient is unbounded near its
-    minimum, and the losses built from norms keep unit-magnitude
-    subgradients in already-converged blocks, which under a single global
-    cap would starve the blocks still far from the optimum. While the loss
-    is stalled (see the module constants) the shape blocks take full-length
-    normalized steps to cross saddles and shallow valleys. Sizes are
-    clamped to stay valid boxes. These losses have non-vanishing gradients
-    at their minima, so the iterates end in a step-sized oscillation; as
-    usual for constant-step subgradient descent the reported fit is the
-    best-loss iterate, while the trace keeps the raw trajectory.
+    Steps are capped at the learning rate per parameter block (center / size
+    / euler): the blocks live on different scales, the Wasserstein gradient
+    is unbounded near its minimum, and the norm-based losses keep
+    unit-magnitude subgradients in converged blocks, which under one global
+    cap would starve the rest. While a row's loss stalls (see the module
+    constants) its shape blocks take full-length normalized steps across
+    saddles and shallow valleys. Sizes are clamped to stay valid. The
+    iterates end in a step-sized oscillation (the subgradients do not vanish
+    at the minima), so the reported fit is the best-loss iterate; the trace
+    keeps the raw trajectory.
     """
     loss_fn = get_box_loss(loss_kind)
-    gt_params = gt.to_params()
-    steps = config.fit_steps
-    params = init.to_params()
-    losses = np.empty(steps)
-    grad_norms = np.empty(steps)
-    traj = np.empty((steps, 9))
-    boosted_steps = np.zeros(steps, dtype=bool)
-    blocks = (slice(0, 3), slice(3, 6), slice(6, 9))
-    boosted = False
+    params, target = _params_matrix(init).copy(), prepare_target(_params_matrix(gt))
+    if target.params.shape != params.shape:
+        raise ValueError(f"gt {target.params.shape} and init {params.shape} must match")
+    n, steps, lr = len(params), config.fit_steps, config.learning_rate
+    if n == 0:
+        return []
+    losses, boosted = np.empty((steps, n)), np.zeros((steps, n), dtype=bool)
+    grads, traj = np.empty((steps, n, 9)), np.empty((steps, n, 9))
+    state, any_boosted, sizes = np.zeros(n, dtype=bool), False, params[:, 3:6]
     for step in range(steps):
-        params[3:6] = np.maximum(params[3:6], _MIN_FIT_SIZE)
+        np.maximum(sizes, _MIN_FIT_SIZE, out=sizes)
         if not np.isfinite(params).all():
-            Box9DoF.from_params(params)  # raises the ValueError naming the bad block
-        res = loss_fn(params, gt_params)
-        losses[step] = res.value
-        grad_norms[step] = float(np.linalg.norm(res.grad))
-        traj[step] = params
-        window_drop = (
-            losses[step - _STALL_WINDOW] - losses[step] if step >= _STALL_WINDOW else np.inf
-        )
-        if not boosted:
-            boosted = window_drop < _STALL_ENTER_DROP and res.value > _STALL_LOSS_FLOOR
-        elif res.value <= _STALL_LOSS_FLOOR or window_drop > _STALL_EXIT_DROP:
-            boosted = False
-        boosted_steps[step] = boosted
-        new_params = params.copy()
-        for blk in blocks:
-            g = res.grad[blk]
-            norm = float(np.linalg.norm(g))
-            if boosted and blk.start >= 3 and norm > _GRAD_TINY:
-                scale = config.learning_rate / norm
-            else:
-                scale = config.learning_rate / max(1.0, norm)
-            new_params[blk] = params[blk] - g * scale
-        params = new_params
-    params[3:6] = np.maximum(params[3:6], _MIN_FIT_SIZE)
-    final_params = params
-    final_loss = float(loss_fn(final_params, gt_params).value)
-    best = int(np.argmin(losses))
-    if losses[best] < final_loss:
-        final_params = traj[best]
-        final_loss = float(losses[best])
-    return FitTrace(losses, grad_norms, traj, boosted_steps,
-                    Box9DoF.from_params(final_params), final_loss, best)
+            row, col = np.argwhere(~np.isfinite(params))[0]
+            block = ("center", "size", "euler")[col // 3]
+            raise ValueError(f"fit row {row}: {block} must be finite")
+        res = loss_fn(params, target)
+        losses[step] = value = res.value
+        grads[step], traj[step] = res.grad, params
+        if step >= _STALL_WINDOW:
+            drop = losses[step - _STALL_WINDOW] - value
+            enter = (drop < _STALL_ENTER_DROP) & (value > _STALL_LOSS_FLOOR)
+            if any_boosted:
+                stay = ~((value <= _STALL_LOSS_FLOOR) | (drop > _STALL_EXIT_DROP))
+                enter = np.where(state, stay, enter)
+            boosted[step] = state = enter
+            any_boosted = state.any()
+        # per (row, block) step: capped at lr, or exactly lr for boosted shape blocks
+        g = res.grad.reshape(n, 3, 3)
+        norm = np.sqrt(np.vecdot(g, g))[..., None]
+        cap = np.maximum(1.0, norm)
+        if any_boosted:
+            cap = np.where(state[:, None, None] & _SHAPE_BLOCKS & (norm > _GRAD_TINY), norm, cap)
+        params -= (g * (lr / cap)).reshape(n, 9)
+    np.maximum(sizes, _MIN_FIT_SIZE, out=sizes)
+    final_loss, rows = loss_fn(params, target).value, np.arange(n)
+    best = np.argmin(losses, axis=0)
+    use_best = losses[best, rows] < final_loss
+    params[use_best] = traj[best, rows][use_best]
+    final_loss = np.where(use_best, losses[best, rows], final_loss)
+    grad_norms = np.sqrt(np.vecdot(grads, grads)).T.copy()
+    losses, traj, boosted = losses.T.copy(), traj.transpose(1, 0, 2).copy(), boosted.T.copy()
+    return [FitTrace(losses[i], grad_norms[i], traj[i], boosted[i], Box9DoF.from_params(params[i]),
+                     float(final_loss[i]), int(best[i])) for i in range(n)]
+
+
+def fit_single_box(gt: Box9DoF, init: Box9DoF, loss_kind: str,
+                   config: RunConfig) -> FitTrace:
+    """Gradient descent on the chosen box loss from ``init`` toward ``gt``:
+    the one-row ``fit_batch``."""
+    return fit_batch([gt], [init], loss_kind, config)[0]
 
 
 def fit_boxes(scene: SceneSample, loss_kind: str, config: RunConfig) -> list[FitTrace]:
-    """Fit a perturbed copy of every ground-truth box in the scene."""
-    traces = []
-    for idx, gt in enumerate(scene.gt_boxes):
-        rng = np.random.default_rng([config.seed, scene.seed, idx])
-        init, applied = perturb_box(gt, rng, config)
-        trace = fit_single_box(gt, init, loss_kind, config)
+    """Fit a perturbed copy of every ground-truth box in the scene, as one batch."""
+    draws = [perturb_box(gt, np.random.default_rng([config.seed, scene.seed, idx]), config)
+             for idx, gt in enumerate(scene.gt_boxes)]
+    traces = fit_batch(scene.gt_boxes, [init for init, _ in draws], loss_kind, config)
+    for trace, (_, applied) in zip(traces, draws):
         trace.symmetry_applied = applied
-        traces.append(trace)
     return traces
 
 
@@ -460,16 +467,14 @@ def run_fit_benchmark(loss_kind: str, config: RunConfig, n_instances: int,
     ``symmetry`` is "random" (probability 1/2), "always", or "never".
     """
     force = {"random": None, "always": True, "never": False}[symmetry]
-    outcomes = []
+    gts, draws = [], []
     for i in range(n_instances):
         rng = np.random.default_rng([config.seed, 0xF17, i])
-        gt = random_box(rng)
-        init, applied = perturb_box(gt, rng, config, force_symmetry=force)
-        trace = fit_single_box(gt, init, loss_kind, config)
-        outcomes.append(
-            FitOutcome(box_iou(trace.final_box, gt), trace.final_loss, applied)
-        )
-    return outcomes
+        gts.append(random_box(rng))
+        draws.append(perturb_box(gts[-1], rng, config, force_symmetry=force))
+    traces = fit_batch(gts, [init for init, _ in draws], loss_kind, config)
+    return [FitOutcome(box_iou(t.final_box, gt), t.final_loss, applied)
+            for t, gt, (_, applied) in zip(traces, gts, draws)]
 
 
 def fit_trace_csv(traces: list[FitTrace]) -> str:
@@ -477,10 +482,8 @@ def fit_trace_csv(traces: list[FitTrace]) -> str:
     lines = ["instance,step,loss,grad_norm,symmetry"]
     for idx, trace in enumerate(traces):
         sym = int(trace.symmetry_applied)
-        for step in range(len(trace.losses)):
-            lines.append(
-                f"{idx},{step},{trace.losses[step]:.9g},{trace.grad_norms[step]:.9g},{sym}"
-            )
+        rows = enumerate(zip(trace.losses.tolist(), trace.grad_norms.tolist()))
+        lines += [f"{idx},{step},{loss:.9g},{norm:.9g},{sym}" for step, (loss, norm) in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -4,14 +4,16 @@ Box losses are functions of the 9 predicted box parameters
 [x, y, z, w, l, h, roll, pitch, yaw]; each returns its value together with
 the gradient w.r.t. those parameters. They take ``Box9DoF`` records or
 broadcastable (..., 9) parameter arrays and return values (...) with
-gradients (..., 9). Selection-type non-smoothness (L1 kinks, nearest-neighbor
-and permutation argmins, norms at zero) uses the frozen-active-set
-subgradient, with zero at exact ties.
+gradients (..., 9); the ground truth may also be a ``PreparedTarget``.
+Selection-type non-smoothness (L1 kinks, nearest-neighbor and permutation
+argmins, norms at zero) uses the frozen-active-set subgradient, with zero at
+exact ties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +68,26 @@ class LossWeights:
             raise ValueError("loss weights must be nonnegative")
 
 
+class PreparedTarget:
+    """The ground-truth terms the box losses read, each formed on first use and
+    then kept: params (..., 9), rotation and sigma (..., 3, 3), corners
+    (..., 8, 3) and corners_major (..., 3, 8). A fit forms them once."""
+
+    def __init__(self, gt):
+        self.params = box_params(gt)
+
+    rotation = cached_property(lambda self: euler_to_rotation(self.params[..., 6:]))
+    sigma = cached_property(lambda self: gaussian_sigma(self.params[..., 3:6], self.rotation))
+    corners = cached_property(lambda self: box_corners(self.params))
+    corners_major = cached_property(
+        lambda self: np.ascontiguousarray(self.corners.swapaxes(-1, -2)))
+
+
+def prepare_target(gt) -> PreparedTarget:
+    """``gt`` as a ``PreparedTarget``; a prepared target passes through."""
+    return gt if isinstance(gt, PreparedTarget) else PreparedTarget(gt)
+
+
 def _result(value, grad) -> LossValueGrad:
     return LossValueGrad(float(value) if value.ndim == 0 else value, grad)
 
@@ -87,25 +109,20 @@ def _corner_frame(params):
     return params[..., None, :3] + corner_arms(size, rot), jac
 
 
-def corner_jacobian(box) -> np.ndarray:
-    """d corner / d params, shape (..., 8, 3, 9)."""
-    return _corner_frame(box_params(box))[1]
-
-
 def _corner_loss(pred, gt, pick) -> LossValueGrad:
     """Corner-distance loss whose value and active (pred corner, gt corner)
     pairs ``pick`` derives from the (..., 8, 8) distance table; each active
     pair adds 1/8 of its unit difference vector to the force on the pred corner."""
     pc, jac = _corner_frame(box_params(pred))
-    gc = box_corners(gt)
+    tgt = prepare_target(gt)
     # coordinate-major differences (..., 3, 8, 8) keep the inner loops long when batched
     sq = (np.ascontiguousarray(pc.swapaxes(-1, -2))[..., :, :, None]
-          - np.ascontiguousarray(gc.swapaxes(-1, -2))[..., :, None, :])
+          - tgt.corners_major[..., :, None, :])
     sq *= sq
     dist = np.sqrt(sq.sum(axis=-3))
     value, uses = pick(dist)
     scale = uses * _inverse(dist) / 8.0
-    force = pc * scale.sum(axis=-1)[..., None] - scale @ gc  # sum_j scale_ij (pc_i - gc_j)
+    force = pc * scale.sum(axis=-1)[..., None] - scale @ tgt.corners  # sum_j s_ij (pc_i - gc_j)
     grad = force.reshape(force.shape[:-2] + (1, 24)) @ jac.reshape(jac.shape[:-3] + (24, 9))
     return _result(value, grad[..., 0, :])
 
@@ -131,7 +148,7 @@ def l1_box_loss(pred, gt) -> LossValueGrad:
     Deliberately orientation-ambiguous: a reparameterized but geometrically
     identical ground truth generally gives a nonzero value.
     """
-    diff = box_params(pred) - box_params(gt)
+    diff = box_params(pred) - prepare_target(gt).params
     return _result(np.abs(diff).sum(axis=-1) / 9.0, np.sign(diff) / 9.0)
 
 
@@ -163,13 +180,12 @@ def wasserstein_loss(pred, gt) -> LossValueGrad:
     exact (or 48-symmetry-equivalent) match scores 0. The shift leaves the
     gradient untouched.
     """
-    p, g = box_params(pred), box_params(gt)
+    p, tgt = box_params(pred), prepare_target(gt)
     rot, drot = rotation_derivatives(p[..., 6:])
     sigma_p = gaussian_sigma(p[..., 3:6], rot)
-    sigma_g = gaussian_sigma(g[..., 3:6], euler_to_rotation(g[..., 6:]))
-    mu_diff = p[..., :3] - g[..., :3]
+    mu_diff = p[..., :3] - tgt.params[..., :3]
     center_dist = np.sqrt(np.einsum("...i,...i->...", mu_diff, mu_diff))
-    sig_diff = sigma_p - sigma_g
+    sig_diff = sigma_p - tgt.sigma
     sig_dist = np.sqrt(np.einsum("...ij,...ij->...", sig_diff, sig_diff))
     root = np.sqrt(center_dist + sig_dist + WASSERSTEIN_EPS)
     value = root - _SQRT_EPS

@@ -110,14 +110,16 @@ def hungarian(cost) -> list[tuple[int, int]]:
         if first_tight[i] >= min(a, n_cols):
             continue
         # backward search from column a over the unfixed rows: step[r] is the
-        # column row r moves to on an alternating path that ends by freeing a
+        # column row r moves to on an alternating path that ends by freeing a;
+        # dummy columns share their tight rows, so only a real one pushes a dummy
         step, frontier = {}, [a]
         while frontier:
             target = frontier.pop()
             for r in (np.flatnonzero(tight[i + 1:, target]) + i + 1).tolist():
                 if r not in step:
                     step[r] = target
-                    frontier.append(match[r])
+                    if target < n_cols or match[r] < n_cols:
+                        frontier.append(match[r])
         for j in np.flatnonzero(tight[i, :min(a, n_cols)]).tolist():
             if holder[j] in step:
                 r = holder[j]

@@ -18,6 +18,9 @@
 * ``oracle_hungarian``: the lexicographically smallest optimal assignment
   found by fixing one row at a time and re-solving the rest with
   ``linear_sum_assignment``, O(P * G) solves per call.
+* ``oracle_fit_single_box``: the box fit as a loop over one box, with the
+  raw ground-truth parameters passed to the loss at every step and each
+  parameter block normed and stepped on its own.
 """
 
 import math
@@ -32,7 +35,17 @@ from mvbox3d.aggregation import (
     keypoints_world,
     learnable_keypoint_offsets,
 )
-from mvbox3d.geometry import box_corners, corner_permutation_table, euler_to_rotation
+from mvbox3d.geometry import Box9DoF, box_corners, corner_permutation_table, euler_to_rotation
+from mvbox3d.harness import (
+    _GRAD_TINY,
+    _MIN_FIT_SIZE,
+    _STALL_ENTER_DROP,
+    _STALL_EXIT_DROP,
+    _STALL_LOSS_FLOOR,
+    _STALL_WINDOW,
+    FitTrace,
+)
+from mvbox3d.losses import get_box_loss
 from mvbox3d.matching import _TIE_TOL
 
 _CLIP_EPS = 1e-9
@@ -317,3 +330,54 @@ def oracle_hungarian(cost):
             used_cols.append(assigned)
             fixed_cost += c[row, assigned]
     return pairs
+
+
+def oracle_fit_single_box(gt, init, loss_kind, config):
+    """One box fit as a loop over 0-d steps: the raw ground-truth parameters
+    go to the loss at every step, and the three block norms, the stall state
+    and the trace's gradient norm are Python scalars."""
+    loss_fn = get_box_loss(loss_kind)
+    gt_params = gt.to_params()
+    steps = config.fit_steps
+    params = init.to_params()
+    losses = np.empty(steps)
+    grad_norms = np.empty(steps)
+    traj = np.empty((steps, 9))
+    boosted_steps = np.zeros(steps, dtype=bool)
+    blocks = (slice(0, 3), slice(3, 6), slice(6, 9))
+    boosted = False
+    for step in range(steps):
+        params[3:6] = np.maximum(params[3:6], _MIN_FIT_SIZE)
+        if not np.isfinite(params).all():
+            Box9DoF.from_params(params)  # raises the ValueError naming the bad block
+        res = loss_fn(params, gt_params)
+        losses[step] = res.value
+        grad_norms[step] = float(np.linalg.norm(res.grad))
+        traj[step] = params
+        window_drop = (
+            losses[step - _STALL_WINDOW] - losses[step] if step >= _STALL_WINDOW else np.inf
+        )
+        if not boosted:
+            boosted = window_drop < _STALL_ENTER_DROP and res.value > _STALL_LOSS_FLOOR
+        elif res.value <= _STALL_LOSS_FLOOR or window_drop > _STALL_EXIT_DROP:
+            boosted = False
+        boosted_steps[step] = boosted
+        new_params = params.copy()
+        for blk in blocks:
+            g = res.grad[blk]
+            norm = float(np.linalg.norm(g))
+            if boosted and blk.start >= 3 and norm > _GRAD_TINY:
+                scale = config.learning_rate / norm
+            else:
+                scale = config.learning_rate / max(1.0, norm)
+            new_params[blk] = params[blk] - g * scale
+        params = new_params
+    params[3:6] = np.maximum(params[3:6], _MIN_FIT_SIZE)
+    final_params = params
+    final_loss = float(loss_fn(final_params, gt_params).value)
+    best = int(np.argmin(losses))
+    if losses[best] < final_loss:
+        final_params = traj[best]
+        final_loss = float(losses[best])
+    return FitTrace(losses, grad_norms, traj, boosted_steps,
+                    Box9DoF.from_params(final_params), final_loss, best)

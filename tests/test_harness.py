@@ -25,6 +25,8 @@ from mvbox3d.geometry import (
     signed_permutations,
 )
 from mvbox3d.harness import (
+    _MIN_FIT_SIZE,
+    fit_batch,
     fit_boxes,
     fit_single_box,
     fit_trace_csv,
@@ -45,7 +47,7 @@ from mvbox3d.harness import (
     svg_line_chart,
 )
 
-from oracles import oracle_heatmap_csv
+from oracles import oracle_fit_single_box, oracle_heatmap_csv
 
 FAST_FIT = RunConfig(fit_steps=300)
 RECOVERY = RunConfig(max_boxes=4, min_cameras=5, min_box_separation=1.8, box_size_max=0.7)
@@ -288,6 +290,81 @@ class TestPerturbAndFit:
         # the boost starts only after a 60-step window dropped less than 0.005
         assert first >= 60
         assert stalled.losses[first - 60] - stalled.losses[first] < 0.005
+
+
+def _mixed_fit_batch():
+    """(gt, init) pairs: a fixed point, the far-symmetry init that boosts, a
+    flat box whose height the size clamp pins, and jittered random boxes
+    whose fits enter and leave the boost at different steps."""
+    rng = np.random.default_rng([88, 0])
+    gt = random_box(rng)
+    jittered, _ = perturb_box(gt, rng, FAST_FIT, force_symmetry=False)
+    pairs = [(gt, gt), (gt, reparameterize_box(jittered, signed_permutations()[17]))]
+    flat = Box9DoF([0.3, 0.2, 1.0], [0.6, 0.4, 0.5 * _MIN_FIT_SIZE], [0.1, -0.1, 0.7])
+    pairs.append((flat, Box9DoF(flat.center, [0.65, 0.45, 0.05], flat.euler)))
+    for i in range(6):
+        rng = np.random.default_rng([89, i])
+        gt = random_box(rng)
+        pairs.append((gt, perturb_box(gt, rng, FAST_FIT, force_symmetry=True)[0]))
+    return pairs
+
+
+def _same_trace(a, b):
+    return (np.array_equal(a.losses, b.losses) and np.array_equal(a.grad_norms, b.grad_norms)
+            and np.array_equal(a.params, b.params) and np.array_equal(a.boosted, b.boosted)
+            and a.best_step == b.best_step and a.final_loss == b.final_loss
+            and np.array_equal(a.final_box.to_params(), b.final_box.to_params()))
+
+
+class TestFitBatch:
+    @pytest.mark.parametrize("kind", ["l1", "ccd", "pcd", "wd"])
+    def test_rows_match_oracle_bitwise(self, kind):
+        pairs = _mixed_fit_batch()
+        oracle = [oracle_fit_single_box(gt, init, kind, FAST_FIT) for gt, init in pairs]
+        batch = fit_batch([gt.to_params() for gt, _ in pairs],
+                          [init.to_params() for _, init in pairs], kind, FAST_FIT)
+        assert len(batch) == len(pairs)
+        for i, (gt, init) in enumerate(pairs):
+            single = fit_single_box(gt, init, kind, FAST_FIT)
+            assert _same_trace(batch[i], oracle[i]) and _same_trace(single, oracle[i]), i
+        # the batch covers what it is meant to: the clamp pins the flat box
+        assert batch[2].params[:, 5].min() == _MIN_FIT_SIZE
+        if kind != "l1":
+            assert not batch[0].boosted.any()
+            assert batch[1].boosted.any()
+            starts = {int(np.argmax(t.boosted)) for t in batch if t.boosted.any()}
+            assert len(starts) >= 2
+            assert any(np.any(t.boosted[:-1] & ~t.boosted[1:]) for t in batch)
+
+    def test_empty_batch(self):
+        assert fit_batch(np.zeros((0, 9)), np.zeros((0, 9)), "wd", FAST_FIT) == []
+        assert fit_batch([], [], "wd", FAST_FIT) == []
+
+    def test_rejects_malformed_rows(self):
+        boxes = np.stack([random_box(np.random.default_rng(i)).to_params() for i in range(3)])
+        with pytest.raises(ValueError, match="must match"):
+            fit_batch(boxes[:2], boxes, "wd", FAST_FIT)
+        with pytest.raises(ValueError, match=r"expected \(\.\.\., 9\)"):
+            fit_batch(boxes[:, :6], boxes[:, :6], "wd", FAST_FIT)
+        with pytest.raises(ValueError, match=r"expected \(N, 9\)"):
+            fit_batch(boxes[0], boxes[0], "wd", FAST_FIT)
+
+    def test_non_finite_error_names_the_row(self, monkeypatch):
+        from mvbox3d import losses
+
+        wd = losses.wasserstein_loss
+
+        def nan_in_row_one(pred, gt):
+            res = wd(pred, gt)
+            grad = res.grad.copy()
+            grad[1, 6:] = np.nan
+            return losses.LossValueGrad(res.value, grad)
+
+        monkeypatch.setitem(losses._BOX_LOSSES, "wd", nan_in_row_one)
+        boxes = [random_box(np.random.default_rng(i)).to_params() for i in range(3)]
+        with pytest.raises(ValueError, match=r"^fit row 1: euler must be finite"):
+            fit_batch(boxes, boxes, "wd", FAST_FIT)
+
 
 class TestPeHeatmap:
     def test_reference_similarity_one(self):

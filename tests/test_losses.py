@@ -21,6 +21,7 @@ from mvbox3d.losses import (
     get_box_loss,
     l1_box_loss,
     permutation_corner_loss,
+    prepare_target,
     total_loss,
     wasserstein_loss,
 )
@@ -335,6 +336,30 @@ class TestBatchedLosses:
     def test_rejects_wrong_parameter_count(self):
         with pytest.raises(ValueError):
             wasserstein_loss(np.zeros(8), np.zeros(8))
+
+
+class TestPreparedTarget:
+    @pytest.mark.parametrize("kind", ["l1", "ccd", "pcd", "wd"])
+    def test_prepared_and_raw_targets_give_identical_bits(self, kind):
+        fn = get_box_loss(kind)
+        pairs, pred, gt = batch_pairs(np.random.default_rng(14), 6, kind)
+        cases = [(pairs[0][0], pairs[0][1]), (pred[0], gt[0]), (pred, gt),
+                 (pred[:, None], gt[None, :4])]
+        for p, g in cases:
+            raw, prepared = fn(p, g), fn(p, prepare_target(g))
+            assert np.array_equal(raw.value, prepared.value)
+            assert np.array_equal(raw.grad, prepared.grad)
+
+    def test_prepared_terms_computed_once(self):
+        gt = Box9DoF([0.2, -0.1, 1.0], [0.4, 0.7, 0.9], [0.1, -0.2, 0.8])
+        target = prepare_target(gt)
+        assert prepare_target(target) is target
+        assert np.array_equal(target.params, gt.to_params())
+        assert np.array_equal(target.corners, box_corners(gt))
+        assert np.array_equal(target.corners_major, box_corners(gt).T)
+        assert np.array_equal(target.rotation, euler_to_rotation(gt.euler))
+        for name in ("rotation", "sigma", "corners", "corners_major"):
+            assert getattr(target, name) is getattr(target, name)
 
 
 class TestTotalLoss:

@@ -240,6 +240,23 @@ class TestHungarian:
         assert hungarian(cost) == oracle_hungarian(cost)
         assert hungarian(cost.T) == oracle_hungarian(cost.T)
 
+    @pytest.mark.parametrize("kind", ["wd", "pcd"])
+    def test_matched_loss_with_duplicates_matches_oracle(self, kind):
+        # 50 predictions (10 of them exact duplicates) for 20 ground truths:
+        # 30 dummy columns, and tied rows whose searches run through them
+        rng = np.random.default_rng(17)
+        gts = [(random_box(rng), int(rng.integers(0, 4))) for _ in range(20)]
+        preds = [(reparameterize_box(box, PERMS[int(rng.integers(48))]),
+                  rng.normal(0.0, 1.0, 4)) for box, _ in gts[:15]]
+        preds += [(random_box(rng), rng.normal(0.0, 1.0, 4)) for _ in range(25)]
+        preds += [preds[int(j)] for j in rng.choice(15, 10, replace=False)]
+        preds = [preds[j] for j in rng.permutation(len(preds))]
+        probs = [(box, 1.0 / (1.0 + np.exp(-logits))) for box, logits in preds]
+        cost = cost_matrix(probs, gts, LossWeights(), kind)
+        assert cost.shape == (50, 20)
+        assert len({row.tobytes() for row in cost}) == 40
+        assert matched_loss(preds, gts, LossWeights(), kind).assignment == oracle_hungarian(cost)
+
     def test_solves_once(self, monkeypatch):
         calls = []
 
