@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box9DoF, Detection, pairwise_iou
+from .geometry import Box9DoF, Detection, _params_matrix, paired_iou, pairwise_iou
 
 SIZE_CLASSES = ("small", "medium", "large")
 
@@ -128,9 +128,11 @@ class _SceneCategory:
 def _scene_tables(dets_by_scene: dict[str, list[Detection]], gts: GroundTruthSet,
                   categories, thresholds: SizeThresholds) -> dict[int, list[_SceneCategory]]:
     """Per category, one table per scene (in scene id order) that holds a
-    detection or a ground truth of it; each IoU matrix is computed once and
+    detection or a ground truth of it. The (detection, ground truth) pairs of
+    all tables go to one ``paired_iou`` call, and each table's IoU matrix is
     shared by every split."""
     tables: dict[int, list[_SceneCategory]] = {c: [] for c in categories}
+    made = []  # (table, its detections' parameters, its ground truths' parameters)
     for scene_id in sorted(set(dets_by_scene) | set(gts.scenes)):
         scene_gt = gts.scenes.get(scene_id)
         gt_pairs = list(zip(scene_gt.boxes, scene_gt.categories)) if scene_gt else []
@@ -145,8 +147,16 @@ def _scene_tables(dets_by_scene: dict[str, list[Detection]], gts: GroundTruthSet
                 [d.score for d in cat_dets],
                 [thresholds.classify(d.box) for d in cat_dets],
                 [thresholds.classify(b) for b in gt_boxes],
-                pairwise_iou([d.box for d in cat_dets], gt_boxes),
+                np.zeros((len(cat_dets), len(gt_boxes))),
             ))
+            made.append((tables[cat][-1], _params_matrix([d.box for d in cat_dets]),
+                         _params_matrix(gt_boxes)))
+    if made:
+        iou = paired_iou(np.concatenate([np.repeat(d, len(g), axis=0) for _, d, g in made]),
+                         np.concatenate([np.tile(g, (len(d), 1)) for _, d, g in made]))
+        ends = np.cumsum([table.iou.size for table, _, _ in made])
+        for (table, _, _), values in zip(made, np.split(iou, ends[:-1])):
+            table.iou = values.reshape(table.iou.shape)
     return tables
 
 
@@ -183,7 +193,8 @@ def metrics_report(dets_by_scene: dict[str, list[Detection]], gts: GroundTruthSe
     Macro means run over categories that have at least one ground truth in
     the relevant split; detection-only categories still show up in the
     per-category table (their detections are all false positives). The IoU
-    of each (scene, category) is computed once for all splits.
+    of every (detection, ground truth) pair of a (scene, category) is computed
+    once for all splits, in one pooled call.
     """
     thresholds = thresholds or SizeThresholds()
     gt_categories = sorted(
@@ -241,6 +252,12 @@ def report_to_csv(report: MetricsReport) -> str:
 
 
 def _box_from_record(rec: dict) -> Box9DoF:
+    """The record's box; center, size and euler must be lists of JSON numbers
+    (an int or a float, and a bool is not an int here): ["0", "0", "1"] and
+    [true, 1, 1] are rejected rather than coerced."""
+    for name in ("center", "size", "euler"):
+        if not isinstance(rec[name], list) or any(type(v) not in (int, float) for v in rec[name]):
+            raise ValueError(f"{name} must be a list of numbers, got {rec[name]!r}")
     return Box9DoF(rec["center"], rec["size"], rec["euler"])
 
 
@@ -266,7 +283,7 @@ def _read_jsonl(path, parse):
                 parsed = str(rec["scene_id"]), parse(rec)
             except KeyError as exc:
                 raise ValueError(f"{path}: line {lineno}: missing field {exc}") from exc
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             yield (lineno, *parsed)
 
@@ -280,8 +297,15 @@ def _category_from_record(rec: dict) -> int:
     return cat
 
 
+def _score_from_record(rec: dict) -> float:
+    """The box's score, which must be a JSON number: "0.5" and true are rejected."""
+    if type(rec["score"]) not in (int, float):
+        raise ValueError(f"score must be a number, got {rec['score']!r}")
+    return float(rec["score"])
+
+
 def _detections_from_record(rec: dict) -> list[Detection]:
-    return [Detection(_box_from_record(b), float(b["score"]), _category_from_record(b))
+    return [Detection(_box_from_record(b), _score_from_record(b), _category_from_record(b))
             for b in rec["boxes"]]
 
 

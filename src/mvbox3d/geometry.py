@@ -2,9 +2,10 @@
 
 Provides the box type (center / size / Euler orientation), rotation
 conversions, corner enumeration, the 48 signed-permutation symmetries of a
-cuboid, the Gaussian form used by the Wasserstein box loss, exact pairwise
-oriented IoU (a separating-axis broad phase, then the convex hull of the
-enumerated intersection vertices), and 3D NMS.
+cuboid, the Gaussian form used by the Wasserstein box loss, exact oriented
+IoU over lists of box pairs (a separating-axis broad phase, then the volume
+of the intersection polytope from its faces on the boxes' face planes), and
+3D NMS.
 
 Conventions:
     * Euler angles are (roll, pitch, yaw) composed extrinsically as
@@ -22,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 DEGENERATE_SIZE = 1e-9
 
@@ -276,15 +276,28 @@ def box_to_gaussian(box: Box9DoF) -> GaussianBox:
 
 
 # ---------------------------------------------------------------------------
-# Exact oriented IoU: broad phase, vertex enumeration and a hull volume.
+# Exact oriented IoU: broad phase, vertex enumeration and a face-plane volume.
 # ---------------------------------------------------------------------------
 
 _CLIP_EPS = 1e-9
+# A vertex is inside a box, or on a face plane, within rounding.
+_PLANE_EPS = 1e-12
 
 # The 12 edges as (start, end) corner indices: corners that differ in one bit.
 _EDGES = np.array([(i, i | bit) for bit in (4, 2, 1) for i in range(8) if not i & bit])
 # The two other axes of each axis, in cyclic order, for the 9 edge-cross-edge axes.
 _NEXT1, _NEXT2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+# The 6 face planes of a box, (axis, side), the -half side first.
+_PLANE_AXIS, _PLANE_SIGN = np.repeat(np.arange(3), 2), np.tile([-1.0, 1.0], 3)
+# The 18 vertex sets of a pair: on a's 6 planes, on b's 6 planes, and on both a
+# plane of a and its most nearly parallel, equally oriented plane of b (whose
+# polygon is subtracted). Per set: the box whose frame it is measured in, the
+# plane's axis and its two in-plane axes, the sign of b's center in its
+# distance from a's center, and the sign of its term.
+_FACE_BOX, _FACE_AXIS = np.repeat([0, 1, 0], 6), np.tile(_PLANE_AXIS, 3)
+_FACE_UV = np.stack([_NEXT1[_FACE_AXIS], _NEXT2[_FACE_AXIS]], axis=1)
+_FACE_SHIFT = np.concatenate([np.zeros(6), _PLANE_SIGN, np.zeros(6)])
+_FACE_WEIGHT = np.repeat([1.0, 1.0, -1.0], 6)
 
 
 def _params_matrix(boxes) -> np.ndarray:
@@ -298,119 +311,176 @@ def _params_matrix(boxes) -> np.ndarray:
     return p
 
 
-def _separated(center_a, half_a, rot_a, center_b, half_b, rot_b) -> np.ndarray:
-    """Broad phase over K pairs: True where the boxes cannot overlap. Bounding
-    spheres first, then the 15-axis separating-axis test of OBBTree (Gottschalk,
-    Lin & Manocha, SIGGRAPH 1996). ``_CLIP_EPS`` is added to every |a_i . b_j|
-    so that near-parallel edges (a vanishing cross axis) and rounding can only
-    keep a pair, never reject one that overlaps."""
-    offset = center_b - center_a
-    reach = np.linalg.norm(half_a, axis=-1) + np.linalg.norm(half_b, axis=-1)
-    out = np.einsum("ki,ki->k", offset, offset) > reach * reach
-    near = np.flatnonzero(~out)
-    if len(near) == 0:
-        return out
-    ha, hb = half_a[near], half_b[near]
-    rel = rot_a[near].swapaxes(-1, -2) @ rot_b[near]  # rel[k, i, j] = a_i . b_j
+def _separated(t, ha, hb, rel) -> np.ndarray:
+    """True where the boxes of K pairs cannot overlap, given b's center ``t``
+    (K, 3) and axes ``rel`` (K, 3, 3) in a's frame and the half extents ``ha``
+    and ``hb``: the 15-axis separating-axis test of OBBTree (Gottschalk, Lin &
+    Manocha, SIGGRAPH 1996). On the 9 axes a_i x b_j it compares |t . (a_i x
+    b_j)|, the entries of [t]x rel, with the boxes' reach, |[ha]x| |rel| +
+    |rel| |[hb]x|. ``_CLIP_EPS`` is added to every |a_i . b_j| so that
+    near-parallel edges (a vanishing cross axis) and rounding can only keep a
+    pair, never reject one that overlaps."""
     abs_rel = np.abs(rel) + _CLIP_EPS
-    t = np.einsum("kji,kj->ki", rot_a[near], offset[near])  # offset in a's frame
     face_a = np.abs(t) > ha + np.einsum("kij,kj->ki", abs_rel, hb)
     face_b = (np.abs(np.einsum("kij,ki->kj", rel, t))
               > np.einsum("kij,ki->kj", abs_rel, ha) + hb)
-    cross = (np.abs(t[:, _NEXT2, None] * rel[:, _NEXT1] - t[:, _NEXT1, None] * rel[:, _NEXT2])
-             > ha[:, _NEXT1, None] * abs_rel[:, _NEXT2] + ha[:, _NEXT2, None] * abs_rel[:, _NEXT1]
-             + hb[:, None, _NEXT1] * abs_rel[:, :, _NEXT2]
-             + hb[:, None, _NEXT2] * abs_rel[:, :, _NEXT1])
-    out[near] = face_a.any(axis=1) | face_b.any(axis=1) | cross.any(axis=(1, 2))
-    return out
+    skew_t, skew_ha, skew_hb = (v @ _SKEW for v in (t, ha, hb))
+    cross = (np.abs(skew_t.reshape(-1, 3, 3) @ rel) > np.abs(skew_ha).reshape(-1, 3, 3) @ abs_rel
+             + abs_rel @ np.abs(skew_hb).reshape(-1, 3, 3))
+    return face_a.any(axis=1) | face_b.any(axis=1) | cross.any(axis=(1, 2))
 
 
-def _vertex_candidates(corners, center, half, rot):
-    """The 80 candidate vertices of a box intersection that one box gives, over
-    K pairs: its 8 corners (K, 8, 3) inside the other box (``center``, ``half``
-    extents, ``rot``), and its 12 edges' crossings of the other's 6 face planes.
-    Returns world points (K, 80, 3) and a mask (K, 80) of the valid ones."""
-    k = len(corners)
-    local = (corners - center[:, None]) @ rot  # in the other box's frame
-    limit = half[:, None] + _CLIP_EPS
-    inside = np.all(np.abs(local) <= limit, axis=-1)
-    start, delta = local[:, _EDGES[:, 0]], local[:, _EDGES[:, 1]] - local[:, _EDGES[:, 0]]
-    planes = np.stack([-half, half], axis=1)  # (K, 2, 3): sign, axis
+def _vertex_candidates(corners, local, half):
+    """The 80 candidate vertices of a box intersection that one box gives: its
+    8 corners inside the other box, and its 12 edges' crossings of the other's
+    6 face planes. ``corners`` (..., 8, 3) are the box's corners in the frame
+    of the result, ``local`` the same corners in the other box's frame and
+    ``half`` (..., 3) the other's half extents. Returns the points
+    (..., 80, 3) and a mask (..., 80) of the valid ones."""
+    limit = half + _PLANE_EPS
+    inside = np.all(np.abs(local) <= limit[..., None, :], axis=-1)
+    start, end = local[..., _EDGES[:, 0], :], local[..., _EDGES[:, 1], :]
+    planes = np.stack([-half, half], axis=-2)[..., None, :, :]  # (..., 1, side, axis)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (planes[:, None] - start[:, :, None]) / delta[:, :, None]  # (K, 12, 2, 3)
-        hits = start[:, :, None, None] + t[..., None] * delta[:, :, None, None]
-    valid = (t >= 0.0) & (t <= 1.0) & np.all(np.abs(hits) <= limit[:, None, None], axis=-1)
-    # world crossings from the world edge, so that they lie on it exactly
-    a, b = corners[:, _EDGES[:, 0]], corners[:, _EDGES[:, 1]]
-    world = a[:, :, None, None] + np.where(valid, t, 0.0)[..., None] * (b - a)[:, :, None, None]
-    return (np.concatenate([corners, world.reshape(k, 72, 3)], axis=1),
-            np.concatenate([inside, valid.reshape(k, 72)], axis=1))
+        t = (planes - start[..., None, :]) / (end - start)[..., None, :]  # (..., 12, 2, 3)
+        hits = start[..., None, None, :] + t[..., None] * (end - start)[..., None, None, :]
+    valid = (t > 0.0) & (t < 1.0) & np.all(np.abs(hits) <= limit[..., None, None, None, :], axis=-1)
+    # crossings from the edge in the result's frame, so that they lie on it exactly
+    a, b = corners[..., _EDGES[:, 0], :], corners[..., _EDGES[:, 1], :]
+    world = a[..., None, None, :] + np.where(valid, t, 0.0)[..., None] * (b - a)[..., None, None, :]
+    return (np.concatenate([corners, world.reshape(world.shape[:-4] + (72, 3))], axis=-2),
+            np.concatenate([inside, valid.reshape(valid.shape[:-3] + (72,))], axis=-1))
+
+
+def _pair_vertices(pa, pb):
+    """The box pairs (pa[k], pb[k]) that may overlap, and their candidate
+    intersection vertices in a's frame (a centered at the origin and
+    axis-aligned).
+
+    Bounding spheres, then ``_separated``, drop the pairs that cannot overlap.
+    Every vertex of the intersection polytope of a kept pair is a corner of one
+    box inside the other or a crossing of one box's edge with the other's face
+    plane (the vertex set of the Objectron IoU, Ahmadyan et al., arXiv
+    2012.09988). Returns the kept indices (n,), b's center ``t`` (n, 3) and
+    axes ``rel`` (n, 3, 3) in a's frame, the half extents (n, box, axis), and
+    the 2 x 80 candidates (n, 160, 3) with their validity mask (n, 160).
+    """
+    offset = pb[:, :3] - pa[:, :3]
+    reach = 0.5 * (np.linalg.norm(pa[:, 3:6], axis=1) + np.linalg.norm(pb[:, 3:6], axis=1))
+    near = np.flatnonzero(np.einsum("ki,ki->k", offset, offset) <= reach * reach)
+    if len(near) == 0:
+        return near, None, None, None, None, None
+    rot_a = euler_to_rotation(pa[near, 6:])
+    t = np.einsum("kji,kj->ki", rot_a, offset[near])
+    rel = rot_a.swapaxes(-1, -2) @ euler_to_rotation(pb[near, 6:])
+    half = 0.5 * np.stack([pa[near, 3:6], pb[near, 3:6]], axis=1)
+    keep = ~_separated(t, half[:, 0], half[:, 1], rel)
+    live, t, rel, half = near[keep], t[keep], rel[keep], half[keep]
+    if len(live) == 0:
+        return live, None, None, None, None, None
+    # (n, box, corner, xyz): a's corners and edges against b, and b's against a
+    corners = np.stack([2.0 * CORNER_OFFSETS * half[:, None, 0],
+                        t[:, None] + corner_arms(2.0 * half[:, 1], rel)], axis=1)
+    local = np.stack([(corners[:, 0] - t[:, None]) @ rel, corners[:, 1]], axis=1)
+    points, mask = _vertex_candidates(corners, local, half[:, ::-1])
+    return live, t, rel, half, points.reshape(len(live), 160, 3), mask.reshape(len(live), 160)
 
 
 def _intersection_volumes(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Exact intersection volumes (K,) of the box pairs (pa[k], pb[k]).
 
-    The broad phase rejects separated pairs. For the rest, every vertex of the
-    intersection polytope is a corner of one box inside the other or a
-    crossing of one box's edge with the other's face plane; the volume of the
-    convex hull of those 2 x 80 candidates is the exact volume (the
-    vertex-plus-hull IoU of Objectron, Ahmadyan et al., arXiv 2012.09988). A flat
-    hull means the boxes only touch: volume 0.
+    For the pairs that may overlap, every face of the intersection polytope
+    lies on one of the pair's 12 face planes: the vertices
+    (``_pair_vertices``) within ``_PLANE_EPS`` of a plane, ordered by
+    angle about their centroid, are its face. By the divergence theorem the
+    volume is sum_f h_f A_f / 3, with h_f the plane's signed distance from a's
+    center and A_f the face's area. A face that a plane of a shares with an
+    equally oriented plane of b (coplanar faces, or nearly parallel ones whose
+    common vertices spread across their ridge) is counted on both planes, so
+    the polygon of their common vertices is subtracted once. When all vertices
+    lie on one plane the polytope is flat (the boxes only touch) and the
+    volume is exactly 0. Every sum over a data-sized axis is a ``cumsum``, so a
+    pair's bits do not depend on the other pairs of the call.
     """
     vol = np.zeros(len(pa))
-    half_a, half_b = 0.5 * pa[:, 3:6], 0.5 * pb[:, 3:6]
-    rot_a, rot_b = euler_to_rotation(pa[:, 6:]), euler_to_rotation(pb[:, 6:])
-    live = np.flatnonzero(~_separated(pa[:, :3], half_a, rot_a, pb[:, :3], half_b, rot_b))
+    live, t, rel, half, points, mask = _pair_vertices(pa, pb)
     if len(live) == 0:
         return vol
-    # both orders of every live pair, (a, b) then (b, a), in one batch
-    p = np.concatenate([pa[live], pb[live]])
-    half = np.concatenate([half_a[live], half_b[live]])
-    rot = np.concatenate([rot_a[live], rot_b[live]])
-    other = np.roll(np.arange(len(p)), len(live))
-    points, mask = _vertex_candidates(p[:, None, :3] + corner_arms(p[:, 3:6], rot),
-                                      p[other, :3], half[other], rot[other])
-    points = np.concatenate(np.split(points, 2), axis=1)
-    mask = np.concatenate(np.split(mask, 2), axis=1)
-    for k in np.flatnonzero(mask.sum(axis=1) >= 4):
-        try:
-            vol[live[k]] = ConvexHull(points[k, mask[k]]).volume
-        except QhullError:
-            pass  # flat hull: the boxes only touch
+    # the kept vertices of each pair to the front, padded to the widest pair
+    pair, count = np.arange(len(live))[:, None], mask.sum(axis=1)
+    x = points[pair, np.argsort(~mask, axis=1, kind="stable")[:, :count.max()]]
+    # (n, box, axis, vertex) coordinates in a's and b's frames; plane 6 box + 2 axis + side
+    coords = np.stack([x, (x - t[:, None]) @ rel], axis=1).swapaxes(-1, -2)
+    on = ((np.abs(coords[..., None, :] - [[-1.0], [1.0]] * half[..., None, None]) <= _PLANE_EPS)
+          & (np.arange(x.shape[1]) < count[:, None])[:, None, None, None]).reshape(len(x), 12, -1)
+    flat = (on.sum(axis=-1) == count[:, None]).any(axis=1)
+    # each plane of a with its most nearly parallel, equally oriented plane of b
+    twin = np.argmax(np.outer(_PLANE_SIGN, _PLANE_SIGN) * rel[:, _PLANE_AXIS][..., _PLANE_AXIS], 2)
+    on = np.concatenate([on, on[:, :6] & on[pair, 6 + twin]], axis=1)
+    fl, ff = np.nonzero((on.sum(axis=-1) >= 3) & ~flat[:, None])
+    if len(fl) == 0:
+        return vol
+    # each polygon's vertices in its plane's 2D axes, about their centroid, by angle
+    on = on[fl, ff, None]
+    k = on.sum(axis=2, keepdims=True)
+    uv = np.where(on, coords[fl[:, None], _FACE_BOX[ff, None], _FACE_UV[ff]], 0.0)
+    uv = np.where(on, uv - np.cumsum(uv, axis=2)[..., -1:] / k, 0.0)
+    order = np.argsort(np.where(on[:, 0], np.arctan2(uv[:, 1], uv[:, 0]), np.inf), 1, kind="stable")
+    face, uv_axis = np.arange(len(fl))[:, None, None], np.arange(2)[:, None]
+    uv = uv[face, uv_axis, order[:, None]]
+    nxt = np.arange(1, uv.shape[2] + 1)
+    nxt = uv[face, uv_axis, np.where(nxt < k, nxt, 0)]
+    twice_area = np.cumsum(uv[:, 0] * nxt[:, 1] - uv[:, 1] * nxt[:, 0], axis=1)[:, -1]
+    # a's planes lie half_a from its center; b's are shifted by b's center in b's frame
+    height = _FACE_WEIGHT * (half[:, _FACE_BOX, _FACE_AXIS]
+                             + _FACE_SHIFT * np.einsum("ki,kij->kj", t, rel)[:, _FACE_AXIS])
+    terms = np.zeros_like(height)
+    terms[fl, ff] = height[fl, ff] * twice_area
+    vol[live] = np.cumsum(terms, axis=1)[:, -1] / 6.0
     return vol
 
 
+def paired_iou(pa, pb) -> np.ndarray:
+    """Exact oriented 3D IoU of the box pairs (pa[k], pb[k]), shape (K,), in [0, 1].
+
+    ``pa`` and ``pb`` are (K, 9) parameter arrays or ``Box9DoF`` sequences of
+    equal length. This is the package's one exact-IoU kernel: callers pool
+    every pair they need into one call, and a pair's value does not depend on
+    the other pairs of the call. Pairs with a near-degenerate box (any extent
+    below ``DEGENERATE_SIZE``) yield 0 with a warning rather than NaNs.
+    """
+    pa, pb = _params_matrix(pa), _params_matrix(pb)
+    if len(pa) != len(pb):
+        raise ValueError(f"paired_iou needs equal numbers of boxes, got {len(pa)} and {len(pb)}")
+    ok = ~(np.minimum(pa[:, 3:6].min(axis=1), pb[:, 3:6].min(axis=1)) < DEGENERATE_SIZE)
+    if not ok.all():
+        warnings.warn("degenerate box in IoU computation, returning 0", RuntimeWarning)
+    out = np.zeros(len(pa))
+    inter = _intersection_volumes(pa[ok], pb[ok])
+    union = np.prod(pa[ok, 3:6], axis=1) + np.prod(pb[ok, 3:6], axis=1) - inter
+    out[ok] = np.clip(inter / union, 0.0, 1.0)
+    return out
+
+
 def pairwise_iou(boxes_a, boxes_b) -> np.ndarray:
-    """Exact oriented 3D IoU of every pair, shape (N, M), in [0, 1].
+    """Exact oriented 3D IoU of every pair, shape (N, M), in [0, 1]: a
+    ``paired_iou`` call on all (i, j) index pairs.
 
     ``boxes_a`` and ``boxes_b`` are ``Box9DoF`` sequences or (N, 9) / (M, 9)
-    parameter arrays; this is the package's one exact-IoU path. Passing the
-    same object twice computes each unordered pair once, so ``pairwise_iou(A,
-    A)`` is exactly symmetric with a unit diagonal. Pairs with a
-    near-degenerate box (any extent below ``DEGENERATE_SIZE``) yield 0 with a
-    warning rather than propagating NaNs.
+    parameter arrays. Passing the same object twice computes each unordered
+    pair once, so ``pairwise_iou(A, A)`` is exactly symmetric with a unit
+    diagonal (0, with the warning, for a degenerate box).
     """
     pa = _params_matrix(boxes_a)
-    same = boxes_b is boxes_a
-    pb = pa if same else _params_matrix(boxes_b)
-    n, m = len(pa), len(pb)
-    out = np.zeros((n, m))
-    degenerate_a = np.min(pa[:, 3:6], axis=1) < DEGENERATE_SIZE
-    degenerate_b = np.min(pb[:, 3:6], axis=1) < DEGENERATE_SIZE
-    if (m and degenerate_a.any()) or (n and degenerate_b.any()):
-        warnings.warn("degenerate box in IoU computation, returning 0", RuntimeWarning)
-    if same:
-        ia, ib = np.triu_indices(n, 1)
-        np.fill_diagonal(out, np.where(degenerate_a, 0.0, 1.0))
-    else:
-        ia, ib = np.divmod(np.arange(n * m), m)
-    keep = ~(degenerate_a[ia] | degenerate_b[ib])
-    ia, ib = ia[keep], ib[keep]
-    inter = _intersection_volumes(pa[ia], pb[ib])
-    union = np.prod(pa[ia, 3:6], axis=1) + np.prod(pb[ib, 3:6], axis=1) - inter
-    out[ia, ib] = np.clip(inter / union, 0.0, 1.0)
-    if same:
-        out[ib, ia] = out[ia, ib]
+    if boxes_b is not boxes_a:
+        pb = _params_matrix(boxes_b)
+        return paired_iou(np.repeat(pa, len(pb), axis=0), np.tile(pb, (len(pa), 1))).reshape(
+            len(pa), len(pb))
+    ia, ib = np.triu_indices(len(pa), 1)
+    diagonal = np.flatnonzero(pa[:, 3:6].min(axis=1) < DEGENERATE_SIZE)  # 0 from the kernel
+    ia, ib = np.concatenate([ia, diagonal]), np.concatenate([ib, diagonal])
+    out = np.eye(len(pa))
+    out[ia, ib] = out[ib, ia] = paired_iou(pa[ia], pa[ib])
     return out
 
 
@@ -420,8 +490,8 @@ def intersection_volume(a: Box9DoF, b: Box9DoF) -> float:
 
 
 def box_iou(a: Box9DoF, b: Box9DoF) -> float:
-    """Exact oriented 3D IoU of two boxes, ``pairwise_iou([a], [b])[0, 0]``."""
-    return float(pairwise_iou([a], [b])[0, 0])
+    """Exact oriented 3D IoU of two boxes, ``paired_iou([a], [b])[0]``."""
+    return float(paired_iou(box_params(a)[None], box_params(b)[None])[0])
 
 
 def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
@@ -430,19 +500,19 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
     Within each category, detections are visited by (score desc, input index
     asc); a detection is dropped when its IoU with an already kept detection
     of the same category exceeds the threshold. Kept detections preserve that
-    visiting order. Each category's IoU matrix is computed once.
+    visiting order. The IoU of every same-category pair comes from one
+    ``paired_iou`` call.
     """
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    by_category: dict[int, list[int]] = {}
+    # (i, j) for every detection i and every same-category j visited before it
+    pairs = [(i, j) for k, i in enumerate(order) for j in order[:k]
+             if dets[j].category == dets[i].category]
+    first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
+    params = _params_matrix([d.box for d in dets])
+    over = paired_iou(params[first], params[second]) > iou_threshold
+    suppressed_by = {pair for pair, hit in zip(pairs, over.tolist()) if hit}
+    kept: set[int] = set()
     for i in order:
-        by_category.setdefault(dets[i].category, []).append(i)
-    kept = set()
-    for members in by_category.values():
-        boxes = [dets[i].box for i in members]
-        iou = pairwise_iou(boxes, boxes)
-        survivors: list[int] = []
-        for k in range(len(members)):
-            if not (iou[k, survivors] > iou_threshold).any():
-                survivors.append(k)
-        kept.update(members[k] for k in survivors)
+        if not any((i, j) in suppressed_by for j in kept):
+            kept.add(i)
     return [dets[i] for i in order if i in kept]

@@ -34,6 +34,7 @@ from .enhancer import (
 from .evaluation import (
     MetricsReport,
     SizeThresholds,
+    _box_from_record,
     _category_from_record,
     box_record,
     load_detections_jsonl,
@@ -575,13 +576,13 @@ def scene_to_dict(scene: SceneSample) -> dict:
 
 def scene_from_dict(data: dict) -> SceneSample:
     try:
-        boxes = [Box9DoF(b["center"], b["size"], b["euler"]) for b in data["boxes"]]
+        boxes = [_box_from_record(b) for b in data["boxes"]]
         cats = [_category_from_record(b) for b in data["boxes"]]
         cams = [camera_from_dict(c) for c in data["cameras"]]
         return SceneSample(str(data["scene_id"]), int(data["seed"]), cams, boxes, cats)
     except KeyError as exc:
         raise ValueError(f"malformed scene record: missing field {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed scene record: {exc}") from exc
 
 

@@ -4,6 +4,10 @@
   intersection by Sutherland-Hodgman clipping of one box's faces against the
   other's six half-spaces, one pair at a time. It shares no code with
   ``geometry.pairwise_iou`` beyond the box corners and rotations.
+* ``oracle_hull_volume``: the volume of the convex hull (Qhull) of the
+  intersection vertices that ``geometry`` enumerates, one pair at a time; 0
+  when there are fewer than 4 or their hull is flat. It checks the
+  library's face-plane volume of the same vertices.
 * ``chamfer_tie_margin`` / ``pcd_tie_margin``: how close a (pred, gt) pair is
   to a switch of the active corner pairs of the corner chamfer or permutation
   corner loss; finite differences are not compared across such a switch.
@@ -27,6 +31,7 @@ import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import ConvexHull, QhullError
 
 from mvbox3d.aggregation import (
     FIXED_KEYPOINT_OFFSETS,
@@ -35,7 +40,13 @@ from mvbox3d.aggregation import (
     keypoints_world,
     learnable_keypoint_offsets,
 )
-from mvbox3d.geometry import Box9DoF, box_corners, corner_permutation_table, euler_to_rotation
+from mvbox3d.geometry import (
+    Box9DoF,
+    _pair_vertices,
+    box_corners,
+    corner_permutation_table,
+    euler_to_rotation,
+)
 from mvbox3d.harness import (
     _GRAD_TINY,
     _MIN_FIT_SIZE,
@@ -165,6 +176,19 @@ def oracle_intersection_volume(a, b):
         if not faces:
             return 0.0
     return _faces_volume(faces)
+
+
+def oracle_hull_volume(a, b):
+    """Volume of the convex hull of the enumerated intersection vertices of two
+    ``Box9DoF``: 0 for a pair the broad phase rejects, for fewer than 4
+    vertices and for a flat hull (the boxes only touch)."""
+    live, *_, points, mask = _pair_vertices(a.to_params()[None], b.to_params()[None])
+    if len(live) == 0 or mask[0].sum() < 4:
+        return 0.0
+    try:
+        return float(ConvexHull(points[0, mask[0]]).volume)
+    except QhullError:
+        return 0.0
 
 
 def oracle_iou(a, b):

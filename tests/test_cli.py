@@ -84,6 +84,18 @@ class TestRender:
         err = capsys.readouterr().err
         assert err == f"error: category must be an integer, got {category!r}\n"
 
+    @pytest.mark.parametrize("field, value", [("center", ["0", "0", "1"]), ("size", [1, True, 1])])
+    def test_scene_coerced_number_exit_one(self, tmp_path, capsys, field, value):
+        scene = tmp_path / "scene.json"
+        run(["gen-scene", "--seed", "1", "--out", str(scene)])
+        data = json.loads(scene.read_text())
+        data["boxes"][0][field] = value
+        scene.write_text(json.dumps(data))
+        code = run(["render", "--scene", str(scene), "--out-dir", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {field} must be a list of numbers, got {value!r}\n"
+
 class TestStandardize:
     def test_default_intrinsics_output(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -208,6 +220,26 @@ class TestEvalCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: {dets}: line 1: category must be an integer, got 1.7\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("center", ["0", "0", "1"]), ("score", "0.5"), ("score", True)])
+    def test_eval_coerced_number_exit_one(self, tmp_path, capsys, field, value):
+        gt = tmp_path / "gt.jsonl"
+        run(["gen-scene", "--seed", "4", "--out", str(tmp_path / "scene.json"),
+             "--gt-out", str(gt)])
+        rec = json.loads(gt.read_text())
+        for box in rec["boxes"]:
+            box["score"] = 0.9
+        rec["boxes"][0][field] = value
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "report.csv"
+        code = run(["eval", "--dets", str(dets), "--gt", str(gt), "--out", str(out)])
+        assert code == 1
+        kind = "a number" if field == "score" else "a list of numbers"
+        err = capsys.readouterr().err
+        assert err == f"error: {dets}: line 1: {field} must be {kind}, got {value!r}\n"
         assert not out.exists()
 
     def test_eval_deterministic_bytes(self, tmp_path, capsys):

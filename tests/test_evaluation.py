@@ -390,6 +390,37 @@ class TestJsonl:
         assert str(path) in message and "line 2" in message
         assert f"category must be an integer, got {value!r}" in message
 
+    @pytest.mark.parametrize("loader, field, value", [
+        (loader, field, value)
+        for loader in (load_detections_jsonl, load_gt_jsonl)
+        for field, value in [
+            ("center", ["0", "0", "1"]), ("center", [0, 0, True]), ("center", "000"),
+            ("center", [[0, 0, 1]]), ("size", [1, "1", 1]), ("euler", [0, 0, None]),
+            ("euler", 0.5), ("score", "0.5"), ("score", True), ("score", None), ("score", [0.5]),
+        ]
+        if field != "score" or loader is load_detections_jsonl
+    ])
+    def test_non_number_fields_rejected(self, tmp_path, loader, field, value):
+        path = tmp_path / "boxes.jsonl"
+        box = {"center": [0, 0, 1], "size": [1, 1, 1], "euler": [0, 0, 0],
+               "category": 0, "score": 0.5}
+        path.write_text(json.dumps({"scene_id": "a", "boxes": [box]}) + "\n"
+                        + json.dumps({"scene_id": "b", "boxes": [box, dict(box, **{field: value})]})
+                        + "\n")
+        with pytest.raises(ValueError) as info:
+            loader(path)
+        message = str(info.value)
+        assert str(path) in message and "line 2" in message
+        kind = "a number" if field == "score" else "a list of numbers"
+        assert f"{field} must be {kind}, got {value!r}" in message
+
+    def test_integer_numbers_accepted(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        path.write_text('{"scene_id": "a", "boxes": [{"center": [0, 0, 1], "size": [1, 2, 1], '
+                        '"euler": [0, 0, 0], "category": 0, "score": 1}]}\n')
+        det = load_detections_jsonl(path)["a"][0]
+        assert det.score == 1.0 and det.box.size.tolist() == [1.0, 2.0, 1.0]
+
     def test_missing_field_is_named(self, tmp_path):
         path = tmp_path / "dets.jsonl"
         path.write_text('{"scene_id": "a", "boxes": [{"center": [0,0,0], "size": [1,1,1], '

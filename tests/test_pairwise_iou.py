@@ -1,5 +1,5 @@
-"""The pairwise IoU engine against the clipping oracle, and property tests of
-its broad phase and of the IoU."""
+"""The pairwise IoU engine against the clipping and hull oracles, and property
+tests of its broad phase, of its batch independence and of the IoU."""
 
 import warnings
 
@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 
 from mvbox3d.geometry import (
     Box9DoF,
-    _separated,
+    _pair_vertices,
     box_iou,
     euler_to_rotation,
     intersection_volume,
+    paired_iou,
     pairwise_iou,
     rotation_to_euler,
     transform_box,
 )
-from oracles import oracle_intersection_volume, oracle_iou
+from oracles import oracle_hull_volume, oracle_intersection_volume, oracle_iou
 
 PROPERTIES = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -41,6 +42,15 @@ def rigid(euler, shift):
 UNIT = Box9DoF([0, 0, 0], [1, 1, 1], [0, 0, 0])
 MOVE = rigid([0.4, -0.3, 1.1], [0.5, -1.0, 2.0])
 GIMBAL = np.pi / 2 - 1e-7
+TURN = np.array([0.2, -0.4, 0.3])
+
+
+def turned(offset, size=(1, 1, 1)):
+    """A box oriented by ``TURN`` whose center is ``offset`` in that frame."""
+    return Box9DoF(euler_to_rotation(TURN) @ np.asarray(offset, dtype=float), size, TURN)
+
+
+TURNED_UNIT = turned([0, 0, 0])
 
 FIXED_PAIRS = {
     "identical": (Box9DoF([1, -1, 2], [0.8, 1.2, 0.5], [0.2, -0.1, 0.7]),) * 2,
@@ -66,7 +76,15 @@ FIXED_PAIRS = {
                         Box9DoF([0, 0, 0], [0.1, 10, 1], [0, 0, 0.3])),
     "ratio_100_sliver": (Box9DoF([0, 0, 0], [10, 1, 1], [0.1, 0.2, 0.3]),
                          Box9DoF([0.5, 0.2, 0], [0.1, 0.1, 0.1], [0.5, -0.4, 1.0])),
+    "face_touching_yaw": (Box9DoF([0, 0, 0], [1, 1, 1], [0, 0, 0.3]),
+                          Box9DoF([np.cos(0.3), np.sin(0.3), 0], [1, 1, 1], [0, 0, 0.3])),
+    "face_touching_turned": (TURNED_UNIT, turned([1, 0.3, -0.2])),
+    "edge_touching_turned": (TURNED_UNIT, turned([0, 1, 1], [0.7, 1, 1])),
+    "vertex_touching_turned": (TURNED_UNIT, turned([1, -1, 1])),
+    "shared_face_plane_turned": (TURNED_UNIT, turned([0, 0.3, 0.2], [1, 0.8, 0.6])),
 }
+TOUCHING = ("face_touching", "edge_touching", "vertex_touching", "face_touching_yaw",
+            "face_touching_turned", "edge_touching_turned", "vertex_touching_turned")
 
 
 class TestAgainstClippingOracle:
@@ -89,8 +107,9 @@ class TestAgainstClippingOracle:
         assert abs(intersection_volume(a, b) - oracle_intersection_volume(a, b)) <= 1e-12
 
     def test_touching_is_zero_and_identical_is_one(self):
-        for name in ("face_touching", "edge_touching", "vertex_touching"):
+        for name in TOUCHING:
             assert box_iou(*FIXED_PAIRS[name]) == 0.0
+            assert intersection_volume(*FIXED_PAIRS[name]) == 0.0
         assert box_iou(*FIXED_PAIRS["identical"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_box_iou_is_bitwise_the_matrix_entry(self):
@@ -151,10 +170,29 @@ def near_touching_pairs(draw):
     return a, Box9DoF(a.center + scale * reach * normal + 0.5 * lateral, b.size, b.euler)
 
 
+@st.composite
+def gimbal_pairs(draw):
+    """Two overlapping boxes whose pitch is within 1e-7 of +-pi/2."""
+    def box():
+        pitch = draw(st.sampled_from([1.0, -1.0])) * (np.pi / 2 - draw(st.floats(0.0, 1e-7)))
+        return Box9DoF([draw(st.floats(-0.3, 0.3)) for _ in range(3)],
+                       [draw(extents) for _ in range(3)], [draw(angles), pitch, draw(angles)])
+    return box(), box()
+
+
+@st.composite
+def sliver_pairs(draw):
+    """Two overlapping boxes whose longest extent is 100 times their shortest."""
+    def box():
+        long = draw(st.floats(0.5, 2.0))
+        size = draw(st.permutations([long, long / 100, draw(st.floats(long / 100, long))]))
+        return Box9DoF([draw(st.floats(-0.2, 0.2)) for _ in range(3)], size,
+                       [draw(angles) for _ in range(3)])
+    return box(), box()
+
+
 def broad_phase_rejects(a, b):
-    pa, pb = a.to_params()[None], b.to_params()[None]
-    return bool(_separated(pa[:, :3], 0.5 * pa[:, 3:6], euler_to_rotation(pa[:, 6:]),
-                           pb[:, :3], 0.5 * pb[:, 3:6], euler_to_rotation(pb[:, 6:]))[0])
+    return len(_pair_vertices(a.to_params()[None], b.to_params()[None])[0]) == 0
 
 
 class TestProperties:
@@ -165,6 +203,26 @@ class TestProperties:
         if broad_phase_rejects(a, b):
             assert oracle_intersection_volume(a, b) <= 1e-12
             assert pairwise_iou([a], [b])[0, 0] == 0.0
+
+    @PROPERTIES
+    @given(st.one_of(near_touching_pairs(), gimbal_pairs(), sliver_pairs()))
+    def test_volume_matches_hull_oracle(self, pair):
+        assert abs(intersection_volume(*pair) - oracle_hull_volume(*pair)) <= 1e-12
+
+    @PROPERTIES
+    @given(st.one_of(st.tuples(boxes(), boxes()), near_touching_pairs(), gimbal_pairs()),
+           st.lists(boxes(), max_size=3), st.randoms(use_true_random=False))
+    def test_pair_bits_do_not_depend_on_the_batch(self, pair, others, rnd):
+        a, b = pair
+        alone = box_iou(a, b)
+        in_matrix = pairwise_iou(others + [a], [b] + others)[len(others), 0]
+        batch = [pair, (UNIT, Box9DoF([5, 0, 0], [1, 1, 1], [0, 0, 0])),  # disjoint
+                 *(FIXED_PAIRS[name] for name in TOUCHING + ("nested", "identical")),
+                 *((box, a) for box in others)]
+        rnd.shuffle(batch)
+        pooled = paired_iou([p[0] for p in batch], [p[1] for p in batch])
+        at = next(i for i, p in enumerate(batch) if p is pair)
+        assert np.float64(alone).tobytes() == in_matrix.tobytes() == pooled[at].tobytes()
 
     @PROPERTIES
     @given(st.lists(boxes(), max_size=5), st.lists(boxes(), max_size=5))
