@@ -151,10 +151,24 @@ def in_frustum(cam: CameraModel, world, max_depth: float) -> bool:
     )
 
 
-def _grid_pixel_centers(extent: int, cells: int) -> np.ndarray:
-    # Cell j of a `cells`-wide grid over `extent` pixels, addressed at its
-    # center in continuous pixel coordinates (pixel area spans [-0.5, extent-0.5]).
-    return -0.5 + (np.arange(cells) + 0.5) * (extent / cells)
+def _frustum_rays(cam: CameraModel, grid_hw: tuple[int, int], max_depth: float, num_depths: int):
+    """Cell centers us (w,), vs (h,), their camera-frame rays ((u - cu) / fu,
+    (v - cv) / fv, 1) (h, w, 3) and the depth ladder (K,) of a frustum grid."""
+    if num_depths < 1:
+        raise ValueError("num_depths must be >= 1")
+    if not max_depth > 0:
+        raise ValueError("max_depth must be positive")
+    depths = np.arange(num_depths) * (max_depth / num_depths)
+    depths[0] = max_depth / (2 * num_depths)
+    (h, w), (width, height) = grid_hw, cam.image_size
+    # cell centers in continuous pixel coordinates (pixels span [-0.5, extent - 0.5])
+    us = -0.5 + (np.arange(w) + 0.5) * (width / w)
+    vs = -0.5 + (np.arange(h) + 0.5) * (height / h)
+    fu, fv, cu, cv = cam.intrinsics
+    rays = np.ones((h, w, 3))
+    rays[..., 0] = (us - cu) / fu
+    rays[..., 1] = ((vs - cv) / fv)[:, None]
+    return us, vs, rays, depths
 
 
 def frustum_point_grid(cam: CameraModel, grid_hw: tuple[int, int], max_depth: float,
@@ -164,28 +178,12 @@ def frustum_point_grid(cam: CameraModel, grid_hw: tuple[int, int], max_depth: fl
     Pixels are the h x w cell centers of the image; depths are the uniform
     ladder k * max_depth / num_depths, k = 0 .. num_depths-1, except that the
     unprojectable k = 0 plane is replaced by the mid-bin max_depth / (2 K).
+    Every sample is t + d_k R r for its pixel's camera-frame ray r, so the
+    depth-weighted mean point needs only the mean depth, not this grid.
     """
-    if num_depths < 1:
-        raise ValueError("num_depths must be >= 1")
-    if not max_depth > 0:
-        raise ValueError("max_depth must be positive")
-    h, w = grid_hw
-    width, height = cam.image_size
-    us = _grid_pixel_centers(width, w)
-    vs = _grid_pixel_centers(height, h)
-    depths = np.arange(num_depths) * (max_depth / num_depths)
-    depths[0] = max_depth / (2 * num_depths)
-    fu, fv, cu, cv = cam.intrinsics
-    xn = (us - cu) / fu  # (w,)
-    yn = (vs - cv) / fv  # (h,)
-    cam_pts = np.empty((h, w, num_depths, 3))
-    cam_pts[..., 0] = xn[None, :, None] * depths[None, None, :]
-    cam_pts[..., 1] = yn[:, None, None] * depths[None, None, :]
-    cam_pts[..., 2] = depths[None, None, :]
-    rot = cam.extrinsics[:3, :3]
-    t = cam.extrinsics[:3, 3]
-    points = cam_pts @ rot.T + t
-    return FrustumPointGrid((h, w, num_depths), points, us, vs, depths, float(max_depth))
+    us, vs, rays, depths = _frustum_rays(cam, grid_hw, max_depth, num_depths)
+    points = rays[:, :, None] * depths[:, None] @ cam.extrinsics[:3, :3].T + cam.extrinsics[:3, 3]
+    return FrustumPointGrid((*grid_hw, num_depths), points, us, vs, depths, float(max_depth))
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +203,14 @@ def bilinear_warp(image: np.ndarray, src_u: np.ndarray, src_v: np.ndarray) -> np
     0 <= u <= W-1 and 0 <= v <= H-1; the four-neighbor footprint is clamped
     at the border, everything else is zero-padded. Every sample is summed as
     ((a (1-fu)) (1-fv) + (b fu) (1-fv)) + (c (1-fu)) fv + (d fu) fv.
+    For a (1, W) row and an (H, 1) column the neighbours are gathered as the
+    source rows first and then their columns; otherwise as flat pixels.
     """
     img = np.asarray(image)
     squeeze = img.ndim == 2
     if squeeze:
         img = img[..., None]
     height, width, channels = img.shape
-    pixels = img.reshape(height * width, channels)
     valid = (src_u >= 0) & (src_u <= width - 1) & (src_v >= 0) & (src_v <= height - 1)
     u = np.clip(src_u, 0, width - 1)
     v = np.clip(src_v, 0, height - 1)
@@ -225,14 +224,18 @@ def bilinear_warp(image: np.ndarray, src_u: np.ndarray, src_v: np.ndarray) -> np
     fv = (v - v0)[..., None]
     gu = 1 - fu
     gv = 1 - fv
-    row0 = v0 * width
-    row1 = v1 * width
-    out = pixels.take(row0 + u0, axis=0) * gu
+    if np.ndim(src_u) == np.ndim(src_v) == 2 and np.shape(src_u)[0] == np.shape(src_v)[1] == 1:
+        top, bottom = img.take(v0[:, 0], axis=0), img.take(v1[:, 0], axis=0)
+        corners = (rows.take(cols[0], axis=1) for rows in (top, bottom) for cols in (u0, u1))
+    else:
+        pixels = img.reshape(height * width, channels)
+        corners = (pixels.take(rows * width + cols, axis=0)
+                   for rows in (v0, v1) for cols in (u0, u1))
+    out = next(corners) * gu
     out *= gv
     term = np.empty_like(out)
-    for index, weight_u, weight_v in ((row0 + u1, fu, gv), (row1 + u0, gu, fv),
-                                      (row1 + u1, fu, fv)):
-        np.multiply(pixels.take(index, axis=0), weight_u, out=term)
+    for corner, weight_u, weight_v in zip(corners, (fu, gu, fu), (gv, fv, fv)):
+        np.multiply(corner, weight_u, out=term)
         term *= weight_v
         out += term
     out[~valid] = 0.0
@@ -285,11 +288,25 @@ def camera_to_dict(cam: CameraModel) -> dict:
     }
 
 
+def _json_numbers(name: str, value) -> list:
+    if not isinstance(value, list) or any(type(v) not in (int, float) for v in value):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return value
+
+
+def _json_int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def camera_from_dict(data: dict) -> CameraModel:
+    """The camera of a JSON record: lists of JSON numbers and JSON integers
+    (a bool is neither), so "500", 64.9 and true are rejected, not coerced."""
     try:
-        intr = data["intrinsics"]
-        ext = np.asarray(data["extrinsics"], dtype=float).reshape(4, 4)
-        size = (int(data["width"]), int(data["height"]))
+        intr = _json_numbers("intrinsics", data["intrinsics"])
+        ext = np.asarray(_json_numbers("extrinsics", data["extrinsics"]), dtype=float).reshape(4, 4)
+        size = (_json_int("width", data["width"]), _json_int("height", data["height"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed camera record: {exc}") from exc
     return CameraModel(intr, ext, size)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .camera import _json_int, _json_numbers
 from .geometry import Box9DoF, Detection, _params_matrix, paired_iou, pairwise_iou
 
 SIZE_CLASSES = ("small", "medium", "large")
@@ -255,10 +256,7 @@ def _box_from_record(rec: dict) -> Box9DoF:
     """The record's box; center, size and euler must be lists of JSON numbers
     (an int or a float, and a bool is not an int here): ["0", "0", "1"] and
     [true, 1, 1] are rejected rather than coerced."""
-    for name in ("center", "size", "euler"):
-        if not isinstance(rec[name], list) or any(type(v) not in (int, float) for v in rec[name]):
-            raise ValueError(f"{name} must be a list of numbers, got {rec[name]!r}")
-    return Box9DoF(rec["center"], rec["size"], rec["euler"])
+    return Box9DoF(*(_json_numbers(name, rec[name]) for name in ("center", "size", "euler")))
 
 
 def box_record(box: Box9DoF, category: int) -> dict:
@@ -291,10 +289,7 @@ def _read_jsonl(path, parse):
 def _category_from_record(rec: dict) -> int:
     """The box's category, which must be a JSON integer: 1.7, "2" and true are
     rejected rather than truncated or coerced."""
-    cat = rec["category"]
-    if isinstance(cat, bool) or not isinstance(cat, int):
-        raise ValueError(f"category must be an integer, got {cat!r}")
-    return cat
+    return _json_int("category", rec["category"])
 
 
 def _score_from_record(rec: dict) -> float:

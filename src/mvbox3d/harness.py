@@ -8,6 +8,7 @@ config defaults; everything is reproducible from integer seeds.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -17,9 +18,10 @@ from .aggregation import AggregationParams, Query, aggregate
 from .camera import (
     DEFAULT_STD_INTRINSICS,
     CameraModel,
+    _frustum_rays,
+    _json_int,
     camera_from_dict,
     camera_to_dict,
-    frustum_point_grid,
     in_frustum,
     project_points,
 )
@@ -27,7 +29,6 @@ from .config import RunConfig
 from .enhancer import (
     FeatureMap,
     depth_distribution,
-    expected_frustum_points,
     init_linear,
     ipe_correlation_map,
 )
@@ -197,39 +198,22 @@ def gen_scene(config: RunConfig, seed: int) -> SceneSample:
 
 def _convex_hull_2d(points: np.ndarray) -> np.ndarray:
     """Andrew monotone chain; returns hull vertices in counterclockwise order."""
-    pts = np.unique(points, axis=0)
+    pts = sorted(set(map(tuple, points.tolist())))  # (u, v)-lexicographic, no duplicates
     if len(pts) <= 2:
-        return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+        return np.array(pts).reshape(-1, 2)
 
     def cross2(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
     def half(iterable):
-        chain: list[np.ndarray] = []
+        chain: list[tuple[float, float]] = []
         for p in iterable:
             while len(chain) >= 2 and cross2(chain[-2], chain[-1], p) <= 0:
                 chain.pop()
             chain.append(p)
         return chain
 
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.asarray(lower[:-1] + upper[:-1])
-
-
-def _cells_in_polygon(hull: np.ndarray, cell_u: np.ndarray, cell_v: np.ndarray) -> np.ndarray:
-    """Boolean (len(cell_v), len(cell_u)) mask of grid cells inside a convex hull."""
-    if len(hull) < 3:
-        return np.zeros((len(cell_v), len(cell_u)), dtype=bool)
-    uu, vv = np.meshgrid(cell_u, cell_v)
-    inside = np.ones(uu.shape, dtype=bool)
-    n = len(hull)
-    for i in range(n):
-        a = hull[i]
-        b = hull[(i + 1) % n]
-        inside &= (b[0] - a[0]) * (vv - a[1]) - (b[1] - a[1]) * (uu - a[0]) >= 0
-    return inside
+    return np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
 
 
 def render_feature_maps(scene: SceneSample, config: RunConfig) -> RenderedScene:
@@ -261,29 +245,32 @@ def _render_view(scene: SceneSample, view: int, signatures: np.ndarray,
     in ``render_feature_maps``."""
     cam = scene.cameras[view]
     stride = config.feature_stride
-    fh = config.image_height // stride
-    fw = config.image_width // stride
-    cell_u = np.arange(fw) * float(stride)
-    cell_v = np.arange(fh) * float(stride)
-    owner = np.full((fh, fw), -1, dtype=int)
-    owner_depth = np.full((fh, fw), np.inf)
+    fh, fw = config.image_height // stride, config.image_width // stride
+    cell_u, cell_v = np.arange(fw) * float(stride), (np.arange(fh) * float(stride))[:, None]
+    rot, eye = cam.extrinsics[:3, :3], cam.extrinsics[:3, 3]
+    owner, owner_depth = np.full((fh, fw), -1), np.full((fh, fw), np.inf)
     for idx, box in enumerate(scene.gt_boxes):
         u, v, d = project_points(cam, box_corners(box))
         front = d > 1e-6
-        if front.sum() < 3:
-            continue
-        rot = cam.extrinsics[:3, :3]
-        center_depth = float((box.center - cam.extrinsics[:3, 3]) @ rot[:, 2])
-        if center_depth <= 0:
+        center_depth = float((box.center - eye) @ rot[:, 2])
+        if front.sum() < 3 or center_depth <= 0:
             continue
         hull = _convex_hull_2d(np.column_stack([u[front], v[front]]))
-        inside = _cells_in_polygon(hull, cell_u, cell_v)
-        closer = inside & (owner_depth > center_depth)
-        owner[closer] = idx
-        owner_depth[closer] = center_depth
-    grid = np.zeros((fh, fw, config.embed_dim))
-    fg = owner >= 0
-    grid[fg] = signatures[owner[fg]]
+        if len(hull) < 3:
+            continue
+        # test the hull's bounding box of cells, padded by one against rounding
+        (j0, i0), (j1, i1) = (np.floor(hull.min(axis=0) / stride).astype(int) - 1,
+                              np.floor(hull.max(axis=0) / stride).astype(int) + 2)
+        rows, cols = slice(max(i0, 0), max(i1, 0)), slice(max(j0, 0), max(j1, 0))
+        # inside every counterclockwise edge a -> b, all edges in one broadcast
+        e = (np.roll(hull, -1, axis=0) - hull)[:, :, None, None]
+        a = hull[:, :, None, None]
+        inside = (e[:, 0] * (cell_v[rows] - a[:, 1]) - e[:, 1] * (cell_u[cols] - a[:, 0])
+                  >= 0).all(axis=0)
+        closer = inside & (owner_depth[rows, cols] > center_depth)
+        owner[rows, cols][closer] = idx
+        owner_depth[rows, cols][closer] = center_depth
+    grid = np.vstack([signatures, np.zeros(config.embed_dim)]).take(owner, axis=0)  # -1: zeros
     depth_grid = np.where(np.isfinite(owner_depth), owner_depth, 0.0)[..., None]
     return (FeatureMap(view, float(stride), grid), FeatureMap(view, float(stride), depth_grid),
             owner)
@@ -508,9 +495,9 @@ def pe_heatmap(scene: SceneSample, config: RunConfig, view: int = 0,
     depth distribution from the view's rendered image/depth features, image
     position embeddings), then correlates every cell's embedding with the
     reference cell's. Only the requested view is rendered. The image
-    position embedding is taken as the embedding of the expected frustum
-    point, which equals the depth-weighted collapse of the point embeddings
-    (see ``mvbox3d.enhancer``) without forming the (h, w, K, C) array.
+    position embedding is the embedding of the expected frustum point (see
+    ``mvbox3d.enhancer``), t + E[d] R r on the cell's ray r, as every sample
+    is t + d_k R r: no (h, w, K, 3) grid and no (h, w, K, C) embeddings.
     """
     img_fm, dep_fm, _ = _render_view(scene, view, _instance_signatures(scene, config), config)
     h, w = img_fm.grid.shape[:2]
@@ -525,22 +512,25 @@ def pe_heatmap(scene: SceneSample, config: RunConfig, view: int = 0,
     )
     head = init_linear("depth_head", config.embed_dim, config.num_depth_points,
                        [config.seed, 103])
-    grid = frustum_point_grid(scene.cameras[view], (h, w), config.max_depth,
-                              config.num_depth_points)
-    dt = depth_distribution(img_fm, dep_fm, fuse, head)
-    expected = expected_frustum_points(grid, dt)
+    cam = scene.cameras[view]
+    _, _, rays, depths = _frustum_rays(cam, (h, w), config.max_depth, config.num_depth_points)
+    mean_depth = depth_distribution(img_fm, dep_fm, fuse, head) @ depths
+    expected = mean_depth[..., None] * (rays @ cam.extrinsics[:3, :3].T) + cam.extrinsics[:3, 3]
     similarity = ipe_correlation_map(point_embed.apply(expected), ref)
     ray_distance = np.linalg.norm(expected - expected[ref[0], ref[1]], axis=-1)
     return HeatmapResult(similarity, ray_distance, ref)
 
 
+@functools.lru_cache(maxsize=4)
+def _heatmap_template(h: int, w: int) -> str:
+    cells = (f"{i},{j},%.9g,%.9g\n" for i in range(h) for j in range(w))
+    return "i,j,similarity,ray_distance\n" + "".join(cells)
+
+
 def heatmap_csv(result: HeatmapResult) -> str:
-    lines = ["i,j,similarity,ray_distance"]
-    rows = zip(result.similarity.tolist(), result.ray_distance.tolist())
-    for i, (sims, dists) in enumerate(rows):
-        for j, (sim, dist) in enumerate(zip(sims, dists)):
-            lines.append(f"{i},{j},{sim:.9g},{dist:.9g}")
-    return "\n".join(lines) + "\n"
+    """One row per cell, i-major: i,j,similarity,ray_distance with %.9g values."""
+    values = np.stack([result.similarity, result.ray_distance], axis=-1)
+    return _heatmap_template(*result.similarity.shape) % tuple(values.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +569,7 @@ def scene_from_dict(data: dict) -> SceneSample:
         boxes = [_box_from_record(b) for b in data["boxes"]]
         cats = [_category_from_record(b) for b in data["boxes"]]
         cams = [camera_from_dict(c) for c in data["cameras"]]
-        return SceneSample(str(data["scene_id"]), int(data["seed"]), cams, boxes, cats)
+        return SceneSample(str(data["scene_id"]), _json_int("seed", data["seed"]), cams, boxes, cats)
     except KeyError as exc:
         raise ValueError(f"malformed scene record: missing field {exc}") from exc
     except (TypeError, OverflowError) as exc:

@@ -19,6 +19,9 @@
   update in a Python double loop.
 * ``oracle_heatmap_csv``: the heatmap CSV formatted from numpy scalars, one
   indexed cell at a time.
+* ``oracle_render_view``: the owner and depth grids of one view, painted box
+  by box with a monotone-chain hull over ``np.unique`` points and one
+  full-grid meshgrid half-plane test per hull edge.
 * ``oracle_hungarian``: the lexicographically smallest optimal assignment
   found by fixing one row at a time and re-solving the rest with
   ``linear_sum_assignment``, O(P * G) solves per call.
@@ -40,6 +43,7 @@ from mvbox3d.aggregation import (
     keypoints_world,
     learnable_keypoint_offsets,
 )
+from mvbox3d.camera import project_points
 from mvbox3d.geometry import (
     Box9DoF,
     _pair_vertices,
@@ -309,6 +313,56 @@ def oracle_heatmap_csv(result):
                 f"{i},{j},{result.similarity[i, j]:.9g},{result.ray_distance[i, j]:.9g}"
             )
     return "\n".join(lines) + "\n"
+
+
+def _oracle_hull_2d(points):
+    pts = np.unique(points, axis=0)
+    if len(pts) <= 2:
+        return pts
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def cross2(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(iterable):
+        chain = []
+        for p in iterable:
+            while len(chain) >= 2 and cross2(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    return np.asarray(half(pts)[:-1] + half(pts[::-1])[:-1])
+
+
+def oracle_render_view(scene, view, config):
+    """(owner, depth) grids of one view: each cell belongs to the nearest
+    center depth among the boxes whose projected hull contains it, the first
+    box on a tie; -1 and depth 0 for the background."""
+    cam = scene.cameras[view]
+    stride = config.feature_stride
+    fh, fw = config.image_height // stride, config.image_width // stride
+    uu, vv = np.meshgrid(np.arange(fw) * float(stride), np.arange(fh) * float(stride))
+    owner = np.full((fh, fw), -1, dtype=int)
+    owner_depth = np.full((fh, fw), np.inf)
+    for idx, box in enumerate(scene.gt_boxes):
+        u, v, d = project_points(cam, box_corners(box))
+        front = d > 1e-6
+        if front.sum() < 3:
+            continue
+        rot = cam.extrinsics[:3, :3]
+        center_depth = float((box.center - cam.extrinsics[:3, 3]) @ rot[:, 2])
+        if center_depth <= 0:
+            continue
+        hull = _oracle_hull_2d(np.column_stack([u[front], v[front]]))
+        inside = np.full(uu.shape, len(hull) >= 3)
+        for i in range(len(hull)):
+            a, b = hull[i], hull[(i + 1) % len(hull)]
+            inside &= (b[0] - a[0]) * (vv - a[1]) - (b[1] - a[1]) * (uu - a[0]) >= 0
+        closer = inside & (owner_depth > center_depth)
+        owner[closer] = idx
+        owner_depth[closer] = center_depth
+    return owner, np.where(np.isfinite(owner_depth), owner_depth, 0.0)
 
 
 def _optimal_cost(cost):

@@ -1,6 +1,8 @@
 """Camera tests: projection round trips, frustum grids, standardization
 warps, camera JSON, and raster I/O."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,50 @@ class TestSamplerOracle:
         assert bitwise_equal(out, oracle_bilinear_warp(img, uu, vv))
 
 
+    @pytest.mark.parametrize("std", [(60.0, 55.0, -600.0, 17.5), (60.0, 55.0, 26.0, 500.0)],
+                             ids=["no-column", "no-row"])
+    def test_no_valid_row_or_column_gives_zeros(self, std):
+        img = np.random.default_rng(10).integers(0, 256, (37, 52, 3)).astype(np.uint8)
+        cam = CameraModel([60.0, 55.0, 25.3, 18.1], np.eye(4), (52, 37))
+        warped, _ = standardize_intrinsics(img, cam, std)
+        assert not warped.any()
+        assert bitwise_equal(warped, oracle_standardize_warp(img, cam, std))
+
+    def test_last_valid_column_at_the_border(self):
+        # src_u = j + 3 exactly: column W-4 samples u = W-1, columns W-3.. are outside
+        img = np.random.default_rng(11).integers(0, 256, (20, 30, 3)).astype(np.uint8)
+        cam = CameraModel([50.0, 50.0, 10.0, 10.0], np.eye(4), (30, 20))
+        std = (50.0, 50.0, 7.0, 10.0)
+        warped, _ = standardize_intrinsics(img, cam, std)
+        assert bitwise_equal(warped, oracle_standardize_warp(img, cam, std))
+        assert np.array_equal(warped[:, 26], img[:, 29]) and not warped[:, 27:].any()
+
+    @pytest.mark.parametrize("std", [(1.0, 1.0, 0.0, 0.0), (2.0, 0.5, 0.0, 0.0),
+                                     (1.0, 1.0, 0.5, 0.0)], ids=["identity", "zoom", "shifted"])
+    def test_one_by_one_image(self, std):
+        img = np.array([[[7, 200, 31]]], dtype=np.uint8)
+        cam = CameraModel([1.0, 1.0, 0.0, 0.0], np.eye(4), (1, 1))
+        warped, _ = standardize_intrinsics(img, cam, std)
+        assert bitwise_equal(warped, oracle_standardize_warp(img, cam, std))
+        expected = [[[0.0, 0.0, 0.0]]] if std[2] else [[[7.0, 200.0, 31.0]]]
+        assert np.array_equal(warped, expected)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, float])
+    def test_grey_image_rows_then_columns(self, dtype):
+        rng = np.random.default_rng(12)
+        img = (rng.integers(0, 256, (41, 23)) if dtype is np.uint8
+               else rng.normal(size=(41, 23)) * 40.0).astype(dtype)
+        cam = CameraModel([30.0, 44.0, 11.7, 19.2], np.eye(4), (23, 41))
+        std = (27.0, 51.0, 12.5, 18.0)
+        warped, _ = standardize_intrinsics(img, cam, std)
+        assert warped.shape == (41, 23) and warped.dtype == np.float64
+        assert bitwise_equal(warped, oracle_standardize_warp(img, cam, std))
+        u = 30.0 * (np.arange(23.0) - 12.5) / 27.0 + 11.7
+        v = 44.0 * (np.arange(41.0) - 18.0) / 51.0 + 19.2
+        uu, vv = np.meshgrid(u, v)
+        assert bitwise_equal(warped, bilinear_warp(img, uu.ravel(), vv.ravel()).reshape(41, 23))
+
+
 class TestCameraJson:
     def test_round_trip(self, tmp_path):
         cam = make_camera(euler=(0.4, 0.2, -1.0), translation=(1, 2, 3), size=(640, 480))
@@ -312,6 +358,23 @@ class TestCameraJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             camera_from_dict({"intrinsics": [1, 1, 0, 0]})
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("intrinsics", ["500", "480", "32", "30"], "a list of numbers"),
+        ("intrinsics", [500.0, True, 32.0, 30.0], "a list of numbers"),
+        ("extrinsics", np.eye(4).tolist(), "a list of numbers"),
+        ("extrinsics", [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, "1"], "a list of numbers"),
+        ("width", 64.9, "an integer"),
+        ("width", "64", "an integer"),
+        ("height", True, "an integer"),
+        ("height", 64.0, "an integer"),
+    ])
+    def test_coerced_field_rejected(self, field, value, kind):
+        data = camera_to_dict(make_camera(size=(64, 64)))
+        data[field] = value
+        message = f"malformed camera record: {field} must be {kind}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            camera_from_dict(data)
 
 
 class TestRasters:

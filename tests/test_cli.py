@@ -1,5 +1,6 @@
 """CLI tests: subcommand contracts, exit codes, and byte-level determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from mvbox3d.camera import CameraModel, save_camera_json
 from mvbox3d.cli import main
+from mvbox3d.config import RunConfig
 from mvbox3d.rasters import read_pgm, read_ppm, write_ppm
 
 
@@ -96,6 +98,25 @@ class TestRender:
         err = capsys.readouterr().err
         assert err == f"error: {field} must be a list of numbers, got {value!r}\n"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", "1", "seed must be an integer, got '1'"),
+        ("camera width", "64", "malformed camera record: width must be an integer, got '64'"),
+    ], ids=["seed", "camera-width"])
+    def test_scene_coerced_seed_or_camera_exit_one(self, tmp_path, capsys, field, value,
+                                                   message):
+        scene = tmp_path / "scene.json"
+        run(["gen-scene", "--seed", "1", "--out", str(scene)])
+        data = json.loads(scene.read_text())
+        if field == "seed":
+            data["seed"] = value
+        else:
+            data["cameras"][0]["width"] = value
+        scene.write_text(json.dumps(data))
+        code = run(["render", "--scene", str(scene), "--out-dir", str(tmp_path / "r")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestStandardize:
     def test_default_intrinsics_output(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -111,6 +132,27 @@ class TestStandardize:
         cam = json.loads(out_cam.read_text())
         assert cam["intrinsics"] == [432.579, 539.857, 256.0, 256.0]
         assert read_ppm(out_img).shape == (64, 64, 3)
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("intrinsics", ["500", "480", "32", "30"], "a list of numbers"),
+        ("extrinsics", [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, True], "a list of numbers"),
+        ("width", 64.9, "an integer"),
+        ("height", True, "an integer"),
+    ], ids=["intrinsics", "extrinsics", "width", "height"])
+    def test_coerced_camera_field_exit_one(self, tmp_path, capsys, field, value, kind):
+        img_path = tmp_path / "img.ppm"
+        write_ppm(img_path, np.zeros((64, 64, 3)))
+        cam_path = tmp_path / "cam.json"
+        save_camera_json(cam_path, CameraModel([500.0, 480.0, 32.0, 30.0], np.eye(4), (64, 64)))
+        data = json.loads(cam_path.read_text())
+        data[field] = value
+        cam_path.write_text(json.dumps(data))
+        out = tmp_path / "std.ppm"
+        code = run(["standardize", "--in", str(img_path), "--cam", str(cam_path),
+                    "--out", str(out), "--out-cam", str(tmp_path / "std.json")])
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: malformed camera record: {field} must be {kind}, got {value!r}\n"
 
     def test_custom_intrinsics(self, tmp_path, capsys):
         img_path = tmp_path / "img.ppm"
@@ -280,3 +322,230 @@ class TestAggregateDemoCli:
         assert run(["aggregate-demo", "--seed", "1", "--out", str(out)]) == 0
         header = out.read_text().split("\n")[0]
         assert header == "instance,best_match,own_cosine,best_other_cosine"
+
+
+GOLDEN_CONFIGS = {
+    "default": RunConfig(),
+    "perceive": RunConfig(max_boxes=4, min_cameras=5, min_box_separation=1.8, box_size_max=0.7),
+    "480x384": RunConfig(image_width=480, image_height=384),
+}
+
+
+def write_scene_chain(root, name, seed):
+    """gen-scene, render, pe-heatmap (view seed mod cameras) and aggregate-demo
+    of one seed into ``root``."""
+    cfg = root.parent / f"{root.name}-config.json"
+    GOLDEN_CONFIGS[name].save(cfg)
+    common = ["--config", str(cfg)]
+    assert run(["gen-scene", "--seed", str(seed), "--out", str(root / "scene.json"),
+                "--gt-out", str(root / "gt.jsonl"), *common]) == 0
+    assert run(["render", "--scene", str(root / "scene.json"),
+                "--out-dir", str(root / "render"), *common]) == 0
+    view = seed % len(json.loads((root / "scene.json").read_text())["cameras"])
+    assert run(["pe-heatmap", "--seed", str(seed), "--view", str(view),
+                "--out-prefix", str(root / "pe"), *common]) == 0
+    assert run(["aggregate-demo", "--seed", str(seed), "--out", str(root / "agg.csv"),
+                *common]) == 0
+
+
+def write_standardize(root, width, height):
+    """A seeded uint8 image and camera, standardized to the default and to
+    seeded custom intrinsics."""
+    rng = np.random.default_rng([width, height, 77])
+    write_ppm(root / "img.ppm", rng.integers(0, 256, (height, width, 3)))
+    intr = [rng.uniform(0.7, 1.3) * width, rng.uniform(0.7, 1.3) * height,
+            rng.uniform(0.4, 0.6) * width, rng.uniform(0.4, 0.6) * height]
+    save_camera_json(root / "cam.json", CameraModel(intr, np.eye(4), (width, height)))
+    target = [rng.uniform(0.6, 1.5) * width, rng.uniform(0.6, 1.5) * height,
+              rng.uniform(0.3, 0.7) * width, rng.uniform(0.3, 0.7) * height]
+    for tag, extra in (("std", []), ("custom", ["--intrinsics", *[f"{x:.6f}" for x in target]])):
+        assert run(["standardize", "--in", str(root / "img.ppm"), "--cam", str(root / "cam.json"),
+                    "--out", str(root / f"{tag}.ppm"), "--out-cam", str(root / f"{tag}_cam.json"),
+                    *extra]) == 0
+
+
+def file_digests(root):
+    """First 16 hex digits of the sha256 of every file under ``root``."""
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+# Digests of the files written before the half-plane rasterizer, the
+# expected-depth position embedding and the row-then-column warp.
+GOLDEN_SCENES = {
+    ('default', 0): {
+        'agg.csv': 'f91c04f9a13b5a39',
+        'gt.jsonl': 'acf5dffc2b352a6e',
+        'pe.csv': '473682b1fbb290dd',
+        'pe.pgm': 'fa4848c472a7ea86',
+        'render/view00_depth.pgm': '1865e69dc2e1a35b',
+        'render/view00_owner.pgm': 'ee26510044481339',
+        'render/view01_depth.pgm': 'c1f93eaa548a5764',
+        'render/view01_owner.pgm': '74a90ed236d4856a',
+        'scene.json': 'fd64e5656e47da4d',
+    },
+    ('default', 1): {
+        'agg.csv': '29a3a12a9762854c',
+        'gt.jsonl': 'fae70d03cf08bf28',
+        'pe.csv': 'cc8645d7c3dc04f2',
+        'pe.pgm': '4058f6999f06545c',
+        'render/view00_depth.pgm': 'f8e7667134f418c8',
+        'render/view00_owner.pgm': '650942ca84465329',
+        'render/view01_depth.pgm': '8f11c867ccc02ce2',
+        'render/view01_owner.pgm': '41d7a006eb8892ba',
+        'scene.json': '05b8492f9761af0c',
+    },
+    ('default', 2): {
+        'agg.csv': '83a86b365913cc84',
+        'gt.jsonl': 'b2809461bffb1fcb',
+        'pe.csv': 'cbe857ff1f7e0e02',
+        'pe.pgm': 'd4b78005f14e03a0',
+        'render/view00_depth.pgm': '60ea431975f262f6',
+        'render/view00_owner.pgm': 'fea72562bc8590b6',
+        'render/view01_depth.pgm': 'c31cf4575222d080',
+        'render/view01_owner.pgm': '88498b2c85342c9f',
+        'render/view02_depth.pgm': '3dd88c637bf397e9',
+        'render/view02_owner.pgm': '781533fe56621815',
+        'render/view03_depth.pgm': '8446fa799224a80b',
+        'render/view03_owner.pgm': '81fdb4a3cd57239e',
+        'render/view04_depth.pgm': 'b797dc1463d3ab4d',
+        'render/view04_owner.pgm': '89a7cac09f04b626',
+        'scene.json': 'afd9bec63e458069',
+    },
+    ('perceive', 0): {
+        'agg.csv': '941d9b7e6e01ea26',
+        'gt.jsonl': 'cd189846938b8101',
+        'pe.csv': 'b8a9a0a426a61b83',
+        'pe.pgm': 'c2d93ce1c73d25f9',
+        'render/view00_depth.pgm': '2548630e5a164008',
+        'render/view00_owner.pgm': '08f6501c02a581eb',
+        'render/view01_depth.pgm': '2fd6ef2fee57a778',
+        'render/view01_owner.pgm': '0d9c1fa32d0af271',
+        'render/view02_depth.pgm': 'f7ad5885049c43fd',
+        'render/view02_owner.pgm': '352331d9711fef14',
+        'render/view03_depth.pgm': '169206fe3350b689',
+        'render/view03_owner.pgm': 'b10b50446b6493f7',
+        'render/view04_depth.pgm': '85042eb53f06a5b8',
+        'render/view04_owner.pgm': '3c2bcc8509c65fd1',
+        'scene.json': 'a92625b7dae2de61',
+    },
+    ('perceive', 1): {
+        'agg.csv': '29a3a12a9762854c',
+        'gt.jsonl': '2b82520963535d95',
+        'pe.csv': '437a9dd1f89b2abc',
+        'pe.pgm': '010f16ba898e9a96',
+        'render/view00_depth.pgm': '3db2fca03e6a8108',
+        'render/view00_owner.pgm': '3db2fca03e6a8108',
+        'render/view01_depth.pgm': 'ed71af9c0bbedd07',
+        'render/view01_owner.pgm': 'e7cfd3be21283239',
+        'render/view02_depth.pgm': 'c24f28611ced1099',
+        'render/view02_owner.pgm': 'ea30fcd892aaa386',
+        'render/view03_depth.pgm': '3db2fca03e6a8108',
+        'render/view03_owner.pgm': '3db2fca03e6a8108',
+        'render/view04_depth.pgm': '3db2fca03e6a8108',
+        'render/view04_owner.pgm': '3db2fca03e6a8108',
+        'scene.json': '2b2c09b2e3df3de2',
+    },
+    ('perceive', 2): {
+        'agg.csv': 'd84c1cde66e9a3f5',
+        'gt.jsonl': '85321c62699a5cb0',
+        'pe.csv': '15b31c7ba4712c46',
+        'pe.pgm': '2e835f6f1236c5c5',
+        'render/view00_depth.pgm': '962f0fbb1beba8fb',
+        'render/view00_owner.pgm': 'acd33561f1105b9a',
+        'render/view01_depth.pgm': 'b75f30424d2e8638',
+        'render/view01_owner.pgm': 'b2d7812b3c8de8bb',
+        'render/view02_depth.pgm': '613da30b84be201a',
+        'render/view02_owner.pgm': '813521eef61fbb0b',
+        'render/view03_depth.pgm': 'd9681e86cdf9171b',
+        'render/view03_owner.pgm': 'be31d3c937d0a7e5',
+        'render/view04_depth.pgm': '7ec0178fc6bec523',
+        'render/view04_owner.pgm': 'c82b8ea3675916ad',
+        'render/view05_depth.pgm': 'ce0cffc71e8ffbb0',
+        'render/view05_owner.pgm': 'd998a89730f47afc',
+        'render/view06_depth.pgm': 'e590688f07068fbf',
+        'render/view06_owner.pgm': 'd83e646975cc863c',
+        'scene.json': '08d97bccc4e6e12d',
+    },
+    ('480x384', 0): {
+        'agg.csv': 'a7684137724dd3b8',
+        'gt.jsonl': 'acf5dffc2b352a6e',
+        'pe.csv': '8194aff04cb9f5ba',
+        'pe.pgm': '4a565e3803afba73',
+        'render/view00_depth.pgm': 'd04d38696e2cd670',
+        'render/view00_owner.pgm': '2c6aacc7923da1db',
+        'render/view01_depth.pgm': '1967adb1c43716d5',
+        'render/view01_owner.pgm': 'd2232848727b639b',
+        'scene.json': '986178fcbfd88db0',
+    },
+    ('480x384', 1): {
+        'agg.csv': '29a3a12a9762854c',
+        'gt.jsonl': 'fae70d03cf08bf28',
+        'pe.csv': '518341289f4d6e95',
+        'pe.pgm': '68dd6c26315ab9c2',
+        'render/view00_depth.pgm': 'ae807c815220e860',
+        'render/view00_owner.pgm': '4a506500ee30f5b3',
+        'render/view01_depth.pgm': '3f5a4e2d0ff8e73a',
+        'render/view01_owner.pgm': 'cc36e136a222b1e6',
+        'scene.json': '4ca7da98627b2e69',
+    },
+    ('480x384', 2): {
+        'agg.csv': '257834e420e91ee1',
+        'gt.jsonl': 'b2809461bffb1fcb',
+        'pe.csv': '7a721c002ce7f505',
+        'pe.pgm': '686a47a760c314c3',
+        'render/view00_depth.pgm': '3fcd2ea211adba41',
+        'render/view00_owner.pgm': '426334d3dd6d11f7',
+        'render/view01_depth.pgm': '6952beeda6318053',
+        'render/view01_owner.pgm': '7a89ca0e97a6d7a2',
+        'render/view02_depth.pgm': '494dd7c5f256175d',
+        'render/view02_owner.pgm': 'f17cc43b09f7e1ed',
+        'render/view03_depth.pgm': '3d3f7856b7a2033f',
+        'render/view03_owner.pgm': 'b3874ac7f0f697fe',
+        'render/view04_depth.pgm': 'b0c6a1b6d4360143',
+        'render/view04_owner.pgm': '2b77c56e39e89f73',
+        'scene.json': '4725ea1b8abbf0e9',
+    },
+}
+GOLDEN_STANDARDIZE = {
+    (512, 512): {
+        'cam.json': '9a9efcef7745e744',
+        'custom.ppm': 'ace08e3eef3525fe',
+        'custom_cam.json': '226fe93032a86122',
+        'img.ppm': 'a27072945597aa65',
+        'std.ppm': 'e183d5ae72aa9cf6',
+        'std_cam.json': '2bfa937f0a78fb36',
+    },
+    (420, 300): {
+        'cam.json': '5cf42c8695ff1d8e',
+        'custom.ppm': 'b6f9c45bb0362b01',
+        'custom_cam.json': '0a02ff13594b794f',
+        'img.ppm': 'bddb384296e982f3',
+        'std.ppm': 'a16ee9441d89966a',
+        'std_cam.json': '6de598943df263e1',
+    },
+    (129, 257): {
+        'cam.json': '5ab42640a360fe11',
+        'custom.ppm': '830d6ddd884bcdf0',
+        'custom_cam.json': 'd51b05a9724c397e',
+        'img.ppm': 'a9d5972a22c64596',
+        'std.ppm': '9e635699eb369f1a',
+        'std_cam.json': '81ad2646221427df',
+    },
+}
+
+
+class TestGoldenBytes:
+    """Every file of the perceive chain and of ``standardize`` is byte-stable."""
+
+    @pytest.mark.parametrize("name, seed", sorted(GOLDEN_SCENES))
+    def test_scene_chain(self, tmp_path, capsys, name, seed):
+        root = tmp_path / "out"
+        root.mkdir()
+        write_scene_chain(root, name, seed)
+        assert file_digests(root) == GOLDEN_SCENES[name, seed]
+
+    @pytest.mark.parametrize("width, height", sorted(GOLDEN_STANDARDIZE))
+    def test_standardize(self, tmp_path, capsys, width, height):
+        write_standardize(tmp_path, width, height)
+        assert file_digests(tmp_path) == GOLDEN_STANDARDIZE[width, height]

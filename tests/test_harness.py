@@ -8,10 +8,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvbox3d.camera import frustum_point_grid, in_frustum, project
+from mvbox3d.camera import (
+    DEFAULT_STD_INTRINSICS,
+    CameraModel,
+    frustum_point_grid,
+    in_frustum,
+    project,
+)
 from mvbox3d.config import RunConfig
 from mvbox3d.enhancer import (
     depth_distribution,
+    expected_frustum_points,
     image_position_embedding,
     init_linear,
     ipe_correlation_map,
@@ -26,6 +33,9 @@ from mvbox3d.geometry import (
 )
 from mvbox3d.harness import (
     _MIN_FIT_SIZE,
+    SceneSample,
+    _instance_signatures,
+    _render_view,
     fit_batch,
     fit_boxes,
     fit_single_box,
@@ -47,7 +57,7 @@ from mvbox3d.harness import (
     svg_line_chart,
 )
 
-from oracles import oracle_fit_single_box, oracle_heatmap_csv
+from oracles import oracle_fit_single_box, oracle_heatmap_csv, oracle_render_view
 
 FAST_FIT = RunConfig(fit_steps=300)
 RECOVERY = RunConfig(max_boxes=4, min_cameras=5, min_box_separation=1.8, box_size_max=0.7)
@@ -92,6 +102,13 @@ class TestGenScene:
         data = scene_to_dict(gen_scene(RunConfig(), 1))
         data["boxes"][0]["category"] = category
         with pytest.raises(ValueError, match=re.escape(f"category must be an integer, got {category!r}")):
+            scene_from_dict(data)
+
+    @pytest.mark.parametrize("seed", ["1", 1.0, True, None])
+    def test_non_integer_seed_rejected(self, seed):
+        data = scene_to_dict(gen_scene(RunConfig(), 1))
+        data["seed"] = seed
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
             scene_from_dict(data)
 
     def test_gt_record_schema(self):
@@ -141,6 +158,70 @@ class TestRenderFeatureMaps:
         rendered = render_feature_maps(gen_scene(RunConfig(), 2), RunConfig())
         norms = np.linalg.norm(rendered.signatures, axis=1)
         assert np.allclose(norms, 1.0)
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestRenderOracle:
+    """The windowed edge-broadcast rasterizer against the per-edge meshgrid loop."""
+
+    def assert_view_matches(self, scene, view, config):
+        signatures = _instance_signatures(scene, config)
+        img_fm, dep_fm, owner = _render_view(scene, view, signatures, config)
+        expected_owner, expected_depth = oracle_render_view(scene, view, config)
+        assert bitwise_equal(owner, expected_owner)
+        assert bitwise_equal(dep_fm.grid[..., 0], expected_depth)
+        expected_grid = np.zeros(img_fm.grid.shape)
+        expected_grid[expected_owner >= 0] = signatures[expected_owner[expected_owner >= 0]]
+        assert bitwise_equal(img_fm.grid, expected_grid)
+        return owner
+
+    @pytest.mark.parametrize("config", [RunConfig(), RECOVERY,
+                                        RunConfig(image_width=480, image_height=384)],
+                             ids=["default", "perceive", "480x384"])
+    def test_scenes_bitwise_equal(self, config):
+        for seed in range(14):
+            scene = gen_scene(config, seed)
+            for view in range(len(scene.cameras)):
+                self.assert_view_matches(scene, view, config)
+
+    def one_camera_scene(self, boxes):
+        cam = CameraModel(DEFAULT_STD_INTRINSICS, np.eye(4), (512, 512))  # looks along +z
+        return SceneSample("s", 0, [cam], boxes, [0] * len(boxes))
+
+    def test_equal_center_depth_first_box_wins(self):
+        a = Box9DoF([0.0, 0.0, 5.0], [1.0, 1.2, 0.8], [0.0, 0.0, 0.3])
+        b = Box9DoF([0.3, 0.1, 5.0], [0.9, 0.7, 1.1], [0.0, 0.0, -0.2])
+        for boxes in ([a, b], [b, a]):
+            owner = self.assert_view_matches(self.one_camera_scene(boxes), 0, RunConfig())
+            assert owner[32, 34] == 0  # a cell that both silhouettes cover
+            assert (owner == 1).any()
+
+    def test_box_with_fewer_than_three_front_corners_is_not_drawn(self):
+        # two corners poke through the camera plane; the camera looks along +z
+        box = Box9DoF([0.0, 0.0, -0.3], [1.0, 1.0, 1.0], [0.5, 0.6, 0.0])
+        assert ((box_corners(box)[:, 2] > 1e-6).sum()) == 2
+        owner = self.assert_view_matches(self.one_camera_scene([box]), 0, RunConfig())
+        assert (owner == -1).all()
+
+    @pytest.mark.parametrize("size", [[1e-300, 1e-300, 1e-300], [1e-300, 1.0, 1e-300]],
+                             ids=["point", "segment"])
+    def test_hull_of_fewer_than_three_vertices_is_not_drawn(self, size):
+        # every corner projects to the same u (and for "point" the same v)
+        box = Box9DoF([0.0, 0.0, 5.0], size, [0.0, 0.0, 0.0])
+        near = Box9DoF([0.0, 0.0, 3.0], [0.5, 0.5, 0.5], [0.0, 0.0, 0.0])
+        owner = self.assert_view_matches(self.one_camera_scene([box, near]), 0, RunConfig())
+        assert not (owner == 0).any() and (owner == 1).any()
+
+    @pytest.mark.parametrize("center", [[1.2, -0.9, 3.0], [-1.5, 1.4, 3.5], [0.0, 0.0, 0.6]],
+                             ids=["right-top", "left-bottom", "partly-behind"])
+    def test_box_straddling_the_image_border(self, center):
+        box = Box9DoF(center, [1.8, 1.5, 2.0], [0.2, -0.1, 0.4])
+        owner = self.assert_view_matches(self.one_camera_scene([box]), 0, RunConfig())
+        edges = np.concatenate([owner[0], owner[-1], owner[:, 0], owner[:, -1]])
+        assert (edges == 0).any() and (owner == -1).any()
 
 
 class TestSignatureRecovery:
@@ -393,8 +474,21 @@ class TestPeHeatmap:
 
     @pytest.mark.parametrize("seed", [0, 3, 7, 12])
     def test_similarity_matches_literal_collapse(self, seed):
+        self.assert_matches_literal_collapse(RunConfig(), seed)
+
+    @pytest.mark.parametrize("config, seed", [
+        (RunConfig(image_width=480, image_height=384), 2),
+        (RunConfig(image_width=480, image_height=384), 9),
+        (RunConfig(num_depth_points=1), 4),
+        (RunConfig(num_depth_points=7), 5),
+        (RunConfig(num_depth_points=7, image_width=480, image_height=384), 11),
+    ], ids=["480x384-a", "480x384-b", "K1", "K7", "K7-480x384"])
+    def test_other_shapes_match_literal_collapse(self, config, seed):
+        self.assert_matches_literal_collapse(config, seed)
+
+    @staticmethod
+    def assert_matches_literal_collapse(config, seed):
         # IPE = sum_k D_k PPE(p_k), formed as the full (h, w, K, C) array
-        config = RunConfig()
         scene = gen_scene(config, seed)
         rendered = render_feature_maps(scene, config)
         for view in sorted({0, len(scene.cameras) - 1, seed % len(scene.cameras)}):
@@ -412,6 +506,9 @@ class TestPeHeatmap:
             ipe = image_position_embedding(point_position_embedding(grid, point_embed), dt)
             literal = ipe_correlation_map(ipe, (h // 2, w // 2))
             assert np.max(np.abs(result.similarity - literal)) <= 1e-12
+            points = expected_frustum_points(grid, dt)
+            distance = np.linalg.norm(points - points[h // 2, w // 2], axis=-1)
+            assert np.max(np.abs(result.ray_distance - distance)) <= 1e-12
 
     def test_traced_peak_memory_bound(self):
         # the dense (h, w, K, C) point-embedding array alone is 67 MB here
