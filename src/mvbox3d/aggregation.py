@@ -32,6 +32,7 @@ FIXED_KEYPOINT_OFFSETS = np.array(
 FIXED_KEYPOINT_OFFSETS.setflags(write=False)
 
 NUM_LEARNABLE_KEYPOINTS = 9
+NUM_KEYPOINTS = len(FIXED_KEYPOINT_OFFSETS) + NUM_LEARNABLE_KEYPOINTS
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def aggregate(queries: list[Query], feature_maps: list[FeatureMap],
     if len(feature_maps) != len(cams):
         raise ValueError("need one feature map per camera")
     n_queries, n_views = len(queries), len(cams)
-    m = len(FIXED_KEYPOINT_OFFSETS) + NUM_LEARNABLE_KEYPOINTS
+    m = NUM_KEYPOINTS
     points = np.reshape([
         keypoints_world(
             query.anchor,

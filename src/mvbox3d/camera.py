@@ -51,14 +51,6 @@ class CameraModel:
         object.__setattr__(self, "extrinsics", ext)
         object.__setattr__(self, "image_size", (int(width), int(height)))
 
-    def world_to_camera(self) -> np.ndarray:
-        rot = self.extrinsics[:3, :3]
-        t = self.extrinsics[:3, 3]
-        inv = np.eye(4)
-        inv[:3, :3] = rot.T
-        inv[:3, 3] = -rot.T @ t
-        return inv
-
 
 @dataclass(frozen=True)
 class PixelDepth:
@@ -291,6 +283,12 @@ def camera_to_dict(cam: CameraModel) -> dict:
 def _json_numbers(name: str, value) -> list:
     if not isinstance(value, list) or any(type(v) not in (int, float) for v in value):
         raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return value
+
+
+def _json_number(name: str, value):
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     return value
 
 

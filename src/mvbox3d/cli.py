@@ -7,6 +7,7 @@ aggregate-demo. Exit codes: 0 success, 2 usage error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -94,11 +95,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = _load_config(args.config)
-    if args.iou is not None:
-        config.ap_iou_threshold = args.iou
-    if args.nms_iou is not None:
-        config.nms_iou_threshold = args.nms_iou
+    overrides = {"ap_iou_threshold": args.iou, "nms_iou_threshold": args.nms_iou}
+    config = dataclasses.replace(
+        _load_config(args.config), **{k: v for k, v in overrides.items() if v is not None}
+    )
     report, csv_text = harness.run_eval(
         args.dets, args.gt, config, apply_nms=not args.no_nms
     )

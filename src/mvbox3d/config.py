@@ -1,9 +1,9 @@
 """Run configuration with JSON round-trip.
 
-Model-side defaults (depth range, number of depth bins, key-point counts,
-loss weights, NMS/AP thresholds, anchors per view, standardized intrinsics)
+Model-side defaults (depth range, number of depth bins, NMS/AP thresholds)
 follow the reference configuration; scene and fitting parameters are
-harness plumbing with desk-scale defaults.
+harness plumbing with desk-scale defaults. The key-point layout is fixed by
+``mvbox3d.aggregation`` and the loss weights by ``losses.LossWeights``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
+from .camera import _json_int, _json_number
+
 
 @dataclass
 class RunConfig:
@@ -19,18 +21,11 @@ class RunConfig:
     embed_dim: int = 32
     max_depth: float = 10.0
     num_depth_points: int = 64
-    num_fixed_keypoints: int = 7
-    num_learnable_keypoints: int = 9
-    # loss combination weights
-    lambda_cls: float = 1.0
-    lambda_center: float = 0.8
-    lambda_box: float = 1.0
     # thresholds
     nms_iou_threshold: float = 0.4
     ap_iou_threshold: float = 0.25
     size_small_max: float = 0.01
     size_medium_max: float = 0.5
-    anchors_per_view: int = 50
     # box-fitting loop
     learning_rate: float = 0.012
     fit_steps: int = 1200
@@ -59,11 +54,13 @@ class RunConfig:
             "embed_dim", "max_depth", "num_depth_points", "learning_rate",
             "fit_steps", "image_width", "image_height", "feature_stride",
             "room_width", "room_depth", "room_height", "num_categories",
-            "anchors_per_view",
         )
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive")
+        for name in ("nms_iou_threshold", "ap_iou_threshold"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"config field {name} must be in [0, 1]")
         if self.min_boxes < 1 or self.max_boxes < self.min_boxes:
             raise ValueError("box count range is inconsistent")
         if self.min_cameras < 1 or self.max_cameras < self.min_cameras:
@@ -76,11 +73,19 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
+        """A config from a JSON object of some fields: int fields take JSON
+        integers and float fields JSON numbers (a bool or a string is
+        neither); an unknown key is an error."""
         data = json.loads(text)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r}")
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in data.items():
+            check = _json_int if types[name] == "int" else _json_number
+            check(f"config field {name}", value)
         return cls(**data)
 
     @classmethod

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import _json_int, _json_numbers
+from .camera import _json_int, _json_number, _json_numbers
 from .geometry import Box9DoF, Detection, _params_matrix, paired_iou, pairwise_iou
 
 SIZE_CLASSES = ("small", "medium", "large")
@@ -294,9 +294,7 @@ def _category_from_record(rec: dict) -> int:
 
 def _score_from_record(rec: dict) -> float:
     """The box's score, which must be a JSON number: "0.5" and true are rejected."""
-    if type(rec["score"]) not in (int, float):
-        raise ValueError(f"score must be a number, got {rec['score']!r}")
-    return float(rec["score"])
+    return float(_json_number("score", rec["score"]))
 
 
 def _detections_from_record(rec: dict) -> list[Detection]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import AggregationParams, Query, aggregate
+from .aggregation import NUM_KEYPOINTS, NUM_LEARNABLE_KEYPOINTS, AggregationParams, Query, aggregate
 from .camera import (
     DEFAULT_STD_INTRINSICS,
     CameraModel,
@@ -28,6 +28,7 @@ from .camera import (
 from .config import RunConfig
 from .enhancer import (
     FeatureMap,
+    LinearParams,
     depth_distribution,
     init_linear,
     ipe_correlation_map,
@@ -55,6 +56,7 @@ from .geometry import (
 from .losses import get_box_loss, prepare_target
 
 _MIN_FIT_SIZE = 1e-3
+_MIN_SIZE_GAP = 0.1
 
 # Stall handling for the fit loop: the corner- and Gaussian-based losses have
 # saddles and long shallow valleys where the size/euler gradients nearly
@@ -116,11 +118,10 @@ def _look_at_extrinsics(eye, target) -> np.ndarray:
 
 
 def random_box(rng: np.random.Generator, center_low=(-2.0, -2.0, 0.4),
-               center_high=(2.0, 2.0, 2.0), size_low=0.3, size_high=0.9,
-               min_size_gap=0.1) -> Box9DoF:
+               center_high=(2.0, 2.0, 2.0), size_low=0.3, size_high=0.9) -> Box9DoF:
     """A generic-position box for tests and benchmarks.
 
-    Extents are kept pairwise distinct (by ``min_size_gap``): boxes with a
+    Extents are kept pairwise distinct (by ``_MIN_SIZE_GAP``): boxes with a
     square cross-section have genuinely ambiguous orientation, which no
     orientation-aware objective can recover.
     """
@@ -128,7 +129,7 @@ def random_box(rng: np.random.Generator, center_low=(-2.0, -2.0, 0.4),
     size = rng.uniform(size_low, size_high, 3)
     for _ in range(100):
         gaps = np.diff(np.sort(size))
-        if np.min(gaps) >= min_size_gap:
+        if np.min(gaps) >= _MIN_SIZE_GAP:
             break
         size = rng.uniform(size_low, size_high, 3)
     euler = np.array(
@@ -276,21 +277,16 @@ def _render_view(scene: SceneSample, view: int, signatures: np.ndarray,
             owner)
 
 
-def build_aggregation_params(config: RunConfig, n_views: int, seed=None,
-                             zero_offsets: bool = False,
-                             zero_weights: bool = False) -> AggregationParams:
-    """Seeded aggregation networks sized for ``n_views`` cameras."""
-    seed = config.seed if seed is None else seed
-    m = config.num_fixed_keypoints + config.num_learnable_keypoints
-    offset = init_linear("keypoint_offsets", config.embed_dim, 27, [seed, 11])
-    weight_in = config.embed_dim + 9 + 16 * n_views
-    weight = init_linear("aggregation_weights", weight_in, m * n_views, [seed, 12])
-    if zero_offsets:
-        offset = type(offset)(np.zeros_like(offset.weight), np.zeros_like(offset.bias),
-                              offset.role)
-    if zero_weights:
-        weight = type(weight)(np.zeros_like(weight.weight), np.zeros_like(weight.bias),
-                              weight.role)
+def build_aggregation_params(config: RunConfig, n_views: int) -> AggregationParams:
+    """Zero offset and weight networks for ``n_views`` cameras, sized from the
+    aggregation constants: the learnable key points sit at the box center and
+    the weights are uniform over the valid (key point, view) pairs."""
+    def zeros(role, in_dim, out_dim):
+        return LinearParams(np.zeros((out_dim, in_dim)), np.zeros(out_dim), role)
+
+    offset = zeros("keypoint_offsets", config.embed_dim, 3 * NUM_LEARNABLE_KEYPOINTS)
+    weight = zeros("aggregation_weights", config.embed_dim + 9 + 16 * n_views,
+                   NUM_KEYPOINTS * n_views)
     return AggregationParams(offset, weight, config.max_depth)
 
 
@@ -306,9 +302,7 @@ def signature_recovery(scene: SceneSample, config: RunConfig):
         list of (instance index, best-matching signature index, cosine row).
     """
     rendered = render_feature_maps(scene, config)
-    params = build_aggregation_params(
-        config, len(scene.cameras), zero_offsets=True, zero_weights=True
-    )
+    params = build_aggregation_params(config, len(scene.cameras))
     queries = [
         Query(rendered.signatures[i], box) for i, box in enumerate(scene.gt_boxes)
     ]
@@ -538,18 +532,19 @@ def heatmap_csv(result: HeatmapResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-def run_eval(dets_path, gts_path, config: RunConfig, apply_nms: bool = True,
-             iou_threshold: float | None = None) -> tuple[MetricsReport, str]:
-    """Load JSON-lines detections and ground truth, optionally NMS, evaluate."""
+def run_eval(dets_path, gts_path, config: RunConfig,
+             apply_nms: bool = True) -> tuple[MetricsReport, str]:
+    """Load JSON-lines detections and ground truth, optionally NMS each scene
+    at ``config.nms_iou_threshold``, and evaluate AP at
+    ``config.ap_iou_threshold``: the report and its CSV text."""
     dets = load_detections_jsonl(dets_path)
     gts = load_gt_jsonl(gts_path)
     if apply_nms:
         dets = {sid: nms(d, config.nms_iou_threshold) for sid, d in dets.items()}
-    threshold = config.ap_iou_threshold if iou_threshold is None else iou_threshold
     report = metrics_report(
         dets,
         gts,
-        iou_threshold=threshold,
+        iou_threshold=config.ap_iou_threshold,
         thresholds=SizeThresholds(config.size_small_max, config.size_medium_max),
     )
     return report, report_to_csv(report)
@@ -587,10 +582,10 @@ def load_scene_json(path) -> SceneSample:
         return scene_from_dict(json.load(fh))
 
 
-def scene_gt_record(scene: SceneSample, subset: str = "all") -> dict:
-    """Ground-truth JSON-lines record for a scene."""
+def scene_gt_record(scene: SceneSample) -> dict:
+    """Ground-truth JSON-lines record for a scene, in the "all" subset."""
     boxes = [box_record(b, c) for b, c in zip(scene.gt_boxes, scene.gt_categories)]
-    return {"scene_id": scene.scene_id, "subset": subset, "boxes": boxes}
+    return {"scene_id": scene.scene_id, "subset": "all", "boxes": boxes}
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +593,9 @@ def scene_gt_record(scene: SceneSample, subset: str = "all") -> dict:
 # ---------------------------------------------------------------------------
 
 
-def svg_line_chart(series: dict[str, np.ndarray], title: str = "",
-                   width: int = 640, height: int = 360) -> str:
-    """A dependency-free SVG polyline chart; one polyline per named series."""
-    pad = 40
+def svg_line_chart(series: dict[str, np.ndarray], title: str = "") -> str:
+    """A dependency-free 640x360 SVG polyline chart; one polyline per named series."""
+    width, height, pad = 640, 360, 40
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
     values = [np.asarray(v, dtype=float) for v in series.values()]
     if not values or all(v.size == 0 for v in values):

@@ -15,7 +15,13 @@ import time
 import numpy as np
 from scipy.stats import spearmanr
 
-from mvbox3d.aggregation import Query, aggregate, aggregation_weights
+from mvbox3d.aggregation import (
+    FIXED_KEYPOINT_OFFSETS,
+    NUM_LEARNABLE_KEYPOINTS,
+    Query,
+    aggregate,
+    aggregation_weights,
+)
 from mvbox3d.camera import (
     DEFAULT_STD_INTRINSICS,
     CameraModel,
@@ -364,7 +370,7 @@ def test_criterion_7_aggregation_contract():
     weights_ok = True
     scene0 = gen_scene(config, 0)
     cams = scene0.cameras[:2]
-    m = config.num_fixed_keypoints + config.num_learnable_keypoints
+    m = len(FIXED_KEYPOINT_OFFSETS) + NUM_LEARNABLE_KEYPOINTS
     from mvbox3d.enhancer import init_linear
 
     params = init_linear("weights", config.embed_dim + 9 + 16 * 2, m * 2, 77)
@@ -383,8 +389,7 @@ def test_criterion_7_aggregation_contract():
 
     scene = gen_scene(config, 1)
     rendered = render_feature_maps(scene, config)
-    agg_params = build_aggregation_params(config, len(scene.cameras), zero_offsets=True,
-                                          zero_weights=True)
+    agg_params = build_aggregation_params(config, len(scene.cameras))
     queries = [Query(rendered.signatures[i], b) for i, b in enumerate(scene.gt_boxes)]
     base, _ = aggregate(queries, rendered.image_maps, scene.cameras, agg_params)
     g = np.eye(4)

@@ -387,8 +387,3 @@ class TestGenerateAnchors:
         )
         anchors = generate_anchors(boxes, 1, seed=0)
         assert np.all(anchors[0].size >= 1e-3)
-
-    def test_default_anchor_count_config(self):
-        from mvbox3d.config import RunConfig
-
-        assert RunConfig().anchors_per_view == 50

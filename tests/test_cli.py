@@ -34,6 +34,62 @@ class TestUsage:
         assert "error" in capsys.readouterr().err
 
 
+# Each subcommand that reads --config, ending with the flag of its output.
+CONFIG_COMMANDS = {
+    "gen-scene": ["gen-scene", "--out"],
+    "render": ["render", "--scene", "scene.json", "--out-dir"],
+    "fit": ["fit", "--out"],
+    "eval": ["eval", "--dets", "dets.jsonl", "--gt", "gt.jsonl", "--out"],
+    "pe-heatmap": ["pe-heatmap", "--out-prefix"],
+    "aggregate-demo": ["aggregate-demo", "--out"],
+}
+
+
+class TestConfigFile:
+    """Every subcommand that reads --config rejects a bad file with one error
+    line and exit code 1, before it reads or writes anything else."""
+
+    def run_with(self, tmp_path, capsys, command, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = run(CONFIG_COMMANDS[command] + [str(tmp_path / "out"), "--config", str(path)])
+        assert code == 1
+        assert not list(tmp_path.glob("out*"))
+        return capsys.readouterr()
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    @pytest.mark.parametrize("field, value, kind", [
+        ("fit_steps", "1200", "an integer"),
+        ("max_depth", "10", "a number"),
+        ("image_width", None, "an integer"),
+        ("fit_steps", 12.5, "an integer"),
+        ("fit_steps", True, "an integer"),
+        ("feature_stride", 7.5, "an integer"),
+    ])
+    def test_bad_field_type_exit_one(self, tmp_path, capsys, command, field, value, kind):
+        captured = self.run_with(tmp_path, capsys, command, json.dumps({field: value}))
+        assert captured.err == f"error: config field {field} must be {kind}, got {value!r}\n"
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_top_level_not_object_exit_one(self, tmp_path, capsys, command):
+        captured = self.run_with(tmp_path, capsys, command, "5\n")
+        assert captured.err == "error: config must be a JSON object, got 5\n"
+
+    @pytest.mark.parametrize("field", [
+        "lambda_cls", "lambda_center", "lambda_box", "anchors_per_view",
+        "num_fixed_keypoints", "num_learnable_keypoints",
+    ])
+    def test_removed_field_exit_one(self, tmp_path, capsys, field):
+        text = json.dumps({**json.loads(RunConfig().to_json()), field: 1})
+        captured = self.run_with(tmp_path, capsys, "gen-scene", text)
+        assert captured.err == f"error: unknown config fields: ['{field}']\n"
+
+    @pytest.mark.parametrize("field", ["nms_iou_threshold", "ap_iou_threshold"])
+    def test_threshold_out_of_range_exit_one(self, tmp_path, capsys, field):
+        captured = self.run_with(tmp_path, capsys, "eval", json.dumps({field: 1.5}))
+        assert captured.err == f"error: config field {field} must be in [0, 1]\n"
+
+
 class TestGenScene:
     def test_deterministic_bytes(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -282,6 +338,26 @@ class TestEvalCli:
         kind = "a number" if field == "score" else "a list of numbers"
         err = capsys.readouterr().err
         assert err == f"error: {dets}: line 1: {field} must be {kind}, got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--nms-iou", "-0.2", "nms_iou_threshold"), ("--iou", "1.5", "ap_iou_threshold"),
+        ("--iou", "nan", "ap_iou_threshold")])
+    def test_eval_threshold_out_of_range_exit_one(self, tmp_path, capsys, flag, value, field):
+        gt = tmp_path / "gt.jsonl"
+        run(["gen-scene", "--seed", "4", "--out", str(tmp_path / "scene.json"),
+             "--gt-out", str(gt)])
+        rec = json.loads(gt.read_text())
+        for box in rec["boxes"]:
+            box["score"] = 0.9
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "report.csv"
+        capsys.readouterr()
+        code = run(["eval", "--dets", str(dets), "--gt", str(gt), flag, value,
+                    "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: config field {field} must be in [0, 1]\n"
         assert not out.exists()
 
     def test_eval_deterministic_bytes(self, tmp_path, capsys):

@@ -36,6 +36,7 @@ from mvbox3d.harness import (
     SceneSample,
     _instance_signatures,
     _render_view,
+    build_aggregation_params,
     fit_batch,
     fit_boxes,
     fit_single_box,
@@ -225,6 +226,17 @@ class TestRenderOracle:
 
 
 class TestSignatureRecovery:
+    @pytest.mark.parametrize("embed_dim, n_views", [(32, 1), (16, 3), (8, 8)])
+    def test_zero_networks_sized_from_aggregation_constants(self, embed_dim, n_views):
+        params = build_aggregation_params(RunConfig(embed_dim=embed_dim, max_depth=7.0), n_views)
+        offset, weight = params.offset_params, params.weight_params
+        assert offset.weight.shape == (27, embed_dim)
+        assert weight.weight.shape == (16 * n_views, embed_dim + 9 + 16 * n_views)
+        for net in (offset, weight):
+            assert net.bias.shape == (net.out_dim,)
+            assert not net.weight.any() and not net.bias.any()
+        assert params.max_depth == 7.0
+
     def test_recovery_on_sparse_scenes(self):
         for seed in range(6):
             scene = gen_scene(RECOVERY, seed)
