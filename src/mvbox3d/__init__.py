@@ -62,6 +62,7 @@ from .geometry import (
     box_to_gaussian,
     euler_to_rotation,
     nms,
+    nms_scenes,
     paired_iou,
     pairwise_iou,
     reparameterize_box,

@@ -10,6 +10,7 @@ optical (+z) axis.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,16 +281,26 @@ def camera_to_dict(cam: CameraModel) -> dict:
     }
 
 
+def _finite_number(value) -> bool:
+    """True for a JSON integer or a finite JSON float; Python's ``json`` also
+    parses NaN and Infinity, and a bool or a string is not a number here."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
 def _json_numbers(name: str, value) -> list:
-    if not isinstance(value, list) or any(type(v) not in (int, float) for v in value):
-        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
-    return value
+    if isinstance(value, list) and all(map(_finite_number, value)):
+        return value
+    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    raise ValueError(f"{name} must be a list of numbers, got {value!r}")
 
 
 def _json_number(name: str, value):
-    if type(value) not in (int, float):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return value
+    if _finite_number(value):
+        return value
+    if type(value) is float:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _json_int(name: str, value) -> int:

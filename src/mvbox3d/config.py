@@ -58,6 +58,9 @@ class RunConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive")
+        for name in ("fit_center_jitter", "fit_size_jitter", "fit_angle_jitter"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"config field {name} must be nonnegative")
         for name in ("nms_iou_threshold", "ap_iou_threshold"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"config field {name} must be in [0, 1]")

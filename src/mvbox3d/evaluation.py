@@ -62,19 +62,22 @@ class MetricsReport:
     num_det: dict[int, int]
 
 
-def _greedy_flags(iou: np.ndarray, order, iou_threshold: float) -> list[bool]:
-    """TP/FP flags of the detections (rows of the (D, G) ``iou`` matrix) in
-    ``order``: each takes the untaken ground truth with the highest positive
-    IoU, lowest gt index on ties, if that IoU reaches the threshold."""
-    if iou.shape[1] == 0:
-        return [False] * len(order)
-    taken = np.zeros(iou.shape[1], dtype=bool)
+def _greedy_flags(iou: list[list[float]], order, cols, iou_threshold: float) -> list[bool]:
+    """TP/FP flags of the detections in ``order`` against the ground truths
+    ``cols`` (ascending), from the row lists ``iou[detection][ground truth]``:
+    each detection takes the untaken ground truth with the highest positive
+    IoU, lowest gt index on ties, and is a hit if that IoU reaches the
+    threshold. The package's one greedy matcher."""
+    taken: set[int] = set()
     flags = []
     for i in order:
-        row = np.where(taken, 0.0, iou[i])
-        g = int(np.argmax(row))
-        hit = bool(row[g] > 0.0 and row[g] >= iou_threshold)
-        taken[g] |= hit
+        row, best, g = iou[i], 0.0, -1
+        for c in cols:
+            if row[c] > best and c not in taken:
+                best, g = row[c], c
+        hit = g >= 0 and best >= iou_threshold
+        if hit:
+            taken.add(g)
         flags.append(hit)
     return flags
 
@@ -90,8 +93,9 @@ def match_detections(dets: list[Detection], gt_boxes: list[Box9DoF],
     Each detection matches the unmatched ground truth with the highest IoU,
     provided it reaches the threshold; IoU ties go to the lowest gt index.
     """
-    iou = pairwise_iou([d.box for d in dets], gt_boxes)
-    return _greedy_flags(iou, _score_order([d.score for d in dets]), iou_threshold)
+    iou = pairwise_iou([d.box for d in dets], gt_boxes).tolist()
+    return _greedy_flags(iou, _score_order([d.score for d in dets]), range(len(gt_boxes)),
+                         iou_threshold)
 
 
 def average_precision(flags, num_gt: int) -> float:
@@ -106,9 +110,7 @@ def average_precision(flags, num_gt: int) -> float:
     precision = tp / (tp + fp)
     # precision envelope: running max from the right
     mrec = np.concatenate([[0.0], recall])
-    mpre = np.concatenate([[0.0], precision])
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate([[0.0], precision])[::-1])[::-1]
     ap = np.sum((mrec[1:] - mrec[:-1]) * mpre[1:])
     return float(ap)
 
@@ -116,14 +118,16 @@ def average_precision(flags, num_gt: int) -> float:
 @dataclass
 class _SceneCategory:
     """The detections and ground truths of one category in one scene, their
-    size classes and their (detections x ground truths) IoU matrix."""
+    size classes, the detections' score order and the IoU rows
+    ``iou[detection][ground truth]``."""
 
     scene_id: str
     subset: str | None  # None for a scene without ground truth
     scores: list[float]
+    order: list[int]
     det_sizes: list[str]
     gt_sizes: list[str]
-    iou: np.ndarray
+    iou: list[list[float]]
 
 
 def _scene_tables(dets_by_scene: dict[str, list[Detection]], gts: GroundTruthSet,
@@ -143,21 +147,23 @@ def _scene_tables(dets_by_scene: dict[str, list[Detection]], gts: GroundTruthSet
             cat_dets = [d for d in dets if d.category == cat]
             if not gt_boxes and not cat_dets:
                 continue
+            scores = [d.score for d in cat_dets]
             tables[cat].append(_SceneCategory(
                 scene_id, scene_gt.subset if scene_gt else None,
-                [d.score for d in cat_dets],
+                scores, _score_order(scores),
                 [thresholds.classify(d.box) for d in cat_dets],
                 [thresholds.classify(b) for b in gt_boxes],
-                np.zeros((len(cat_dets), len(gt_boxes))),
+                [],
             ))
             made.append((tables[cat][-1], _params_matrix([d.box for d in cat_dets]),
                          _params_matrix(gt_boxes)))
     if made:
         iou = paired_iou(np.concatenate([np.repeat(d, len(g), axis=0) for _, d, g in made]),
                          np.concatenate([np.tile(g, (len(d), 1)) for _, d, g in made]))
-        ends = np.cumsum([table.iou.size for table, _, _ in made])
-        for (table, _, _), values in zip(made, np.split(iou, ends[:-1])):
-            table.iou = values.reshape(table.iou.shape)
+        start = 0
+        for table, d, g in made:
+            table.iou = iou[start:start + len(d) * len(g)].reshape(len(d), len(g)).tolist()
+            start += len(d) * len(g)
     return tables
 
 
@@ -165,22 +171,23 @@ def _category_ap(tables: list[_SceneCategory], iou_threshold: float,
                  size_filter: str | None = None, subset_filter: str | None = None):
     """AP and counts for one category from its scene tables, optionally
     restricted to a size class or subset tag. Both detections and ground
-    truths are filtered; the IoU matrices are sliced, not recomputed."""
+    truths are filtered to index lists; the IoU rows are shared, not
+    recomputed."""
     scored: list[tuple[float, str, int, bool]] = []
     total_gt = 0
     total_det = 0
     for table in tables:
         if subset_filter is not None and table.subset != subset_filter:
             continue
-        rows = [i for i, s in enumerate(table.det_sizes) if size_filter in (None, s)]
-        cols = [g for g, s in enumerate(table.gt_sizes) if size_filter in (None, s)]
+        order, cols = table.order, range(len(table.gt_sizes))
+        if size_filter is not None:
+            order = [i for i in order if table.det_sizes[i] == size_filter]
+            cols = [g for g, s in enumerate(table.gt_sizes) if s == size_filter]
         total_gt += len(cols)
-        total_det += len(rows)
-        scores = [table.scores[i] for i in rows]
-        order = _score_order(scores)
-        flags = _greedy_flags(table.iou[np.ix_(rows, cols)], order, iou_threshold)
+        total_det += len(order)
+        flags = _greedy_flags(table.iou, order, cols, iou_threshold)
         for i, flag in zip(order, flags):
-            scored.append((scores[i], table.scene_id, i, flag))
+            scored.append((table.scores[i], table.scene_id, i, flag))
     scored.sort(key=lambda item: (-item[0], item[1], item[2]))
     ap = average_precision([f for _, _, _, f in scored], total_gt)
     return ap, total_gt, total_det

@@ -494,25 +494,47 @@ def box_iou(a: Box9DoF, b: Box9DoF) -> float:
     return float(paired_iou(box_params(a)[None], box_params(b)[None])[0])
 
 
-def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
-    """Greedy per-category 3D NMS.
+def nms_scenes(dets_by_scene: dict, iou_threshold: float) -> dict:
+    """Greedy per-category 3D NMS of every scene: ``{scene: nms(dets)}``.
 
-    Within each category, detections are visited by (score desc, input index
-    asc); a detection is dropped when its IoU with an already kept detection
-    of the same category exceeds the threshold. Kept detections preserve that
-    visiting order. The IoU of every same-category pair comes from one
-    ``paired_iou`` call.
+    Within each scene and category, detections are visited by (score desc,
+    input index asc); a detection is dropped when its IoU with an already
+    kept detection of the same scene and category exceeds the threshold. Kept
+    detections preserve that visiting order. The IoU of every same-category
+    pair of every scene comes from one ``paired_iou`` call; a pair's value does
+    not depend on the other pairs of the call, so pooling the scenes changes
+    nothing.
     """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    # (i, j) for every detection i and every same-category j visited before it
-    pairs = [(i, j) for k, i in enumerate(order) for j in order[:k]
-             if dets[j].category == dets[i].category]
-    first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
-    params = _params_matrix([d.box for d in dets])
+    # per scene: its visiting order and the offset of its boxes in the pool
+    visits, first, second, boxes = [], [], [], []
+    for dets in dets_by_scene.values():
+        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+        base = len(boxes)
+        # (i, j) for every detection i and every same-category j visited before it
+        for k, i in enumerate(order):
+            for j in order[:k]:
+                if dets[j].category == dets[i].category:
+                    first.append(base + i)
+                    second.append(base + j)
+        visits.append((dets, order, base))
+        boxes.extend(d.box for d in dets)
+    params = _params_matrix(boxes)
     over = paired_iou(params[first], params[second]) > iou_threshold
-    suppressed_by = {pair for pair, hit in zip(pairs, over.tolist()) if hit}
-    kept: set[int] = set()
-    for i in order:
-        if not any((i, j) in suppressed_by for j in kept):
-            kept.add(i)
-    return [dets[i] for i in order if i in kept]
+    suppressors: dict[int, list[int]] = {}
+    for k in np.flatnonzero(over).tolist():
+        suppressors.setdefault(first[k], []).append(second[k])
+    out = {}
+    for scene, (dets, order, base) in zip(dets_by_scene, visits):
+        kept: set[int] = set()
+        for i in order:
+            if not any(j in kept for j in suppressors.get(base + i, ())):
+                kept.add(base + i)
+        out[scene] = [dets[i] for i in order if base + i in kept]
+    return out
+
+
+def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
+    """Greedy per-category 3D NMS of one scene's detections, the one-scene
+    view of ``nms_scenes``: kept detections in (score desc, input index asc)
+    order."""
+    return nms_scenes({None: dets}, iou_threshold)[None]

@@ -50,7 +50,7 @@ from .geometry import (
     _params_matrix,
     box_corners,
     box_iou,
-    nms,
+    nms_scenes,
     reparameterize_box,
 )
 from .losses import get_box_loss, prepare_target
@@ -534,13 +534,14 @@ def heatmap_csv(result: HeatmapResult) -> str:
 
 def run_eval(dets_path, gts_path, config: RunConfig,
              apply_nms: bool = True) -> tuple[MetricsReport, str]:
-    """Load JSON-lines detections and ground truth, optionally NMS each scene
-    at ``config.nms_iou_threshold``, and evaluate AP at
+    """Load JSON-lines detections and ground truth, optionally NMS every scene
+    (one pooled ``nms_scenes`` call) at ``config.nms_iou_threshold``, and
+    evaluate AP at
     ``config.ap_iou_threshold``: the report and its CSV text."""
     dets = load_detections_jsonl(dets_path)
     gts = load_gt_jsonl(gts_path)
     if apply_nms:
-        dets = {sid: nms(d, config.nms_iou_threshold) for sid, d in dets.items()}
+        dets = nms_scenes(dets, config.nms_iou_threshold)
     report = metrics_report(
         dets,
         gts,

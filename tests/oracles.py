@@ -28,6 +28,12 @@
 * ``oracle_fit_single_box``: the box fit as a loop over one box, with the
   raw ground-truth parameters passed to the loss at every step and each
   parameter block normed and stepped on its own.
+* ``oracle_nms``: NMS of one scene with its own ``paired_iou`` call, the
+  suppressing pairs kept in a set of (i, j) tuples.
+* ``oracle_greedy_flags``: the greedy matcher on a numpy IoU matrix, one
+  masked ``np.argmax`` per detection.
+* ``oracle_average_precision``: all-point AP with the precision envelope
+  taken by a right-to-left Python loop.
 """
 
 import math
@@ -50,6 +56,7 @@ from mvbox3d.geometry import (
     box_corners,
     corner_permutation_table,
     euler_to_rotation,
+    paired_iou,
 )
 from mvbox3d.harness import (
     _GRAD_TINY,
@@ -459,3 +466,53 @@ def oracle_fit_single_box(gt, init, loss_kind, config):
         final_loss = float(losses[best])
     return FitTrace(losses, grad_norms, traj, boosted_steps,
                     Box9DoF.from_params(final_params), final_loss, best)
+
+
+def oracle_nms(dets, iou_threshold):
+    """Greedy per-category NMS of one scene: a detection visited by (score
+    desc, input index asc) is dropped when its IoU with a kept detection of
+    its category exceeds the threshold."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    pairs = [(i, j) for k, i in enumerate(order) for j in order[:k]
+             if dets[j].category == dets[i].category]
+    first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
+    params = np.array([d.box.to_params() for d in dets], dtype=float).reshape(len(dets), 9)
+    over = paired_iou(params[first], params[second]) > iou_threshold
+    suppressed_by = {pair for pair, hit in zip(pairs, over.tolist()) if hit}
+    kept = set()
+    for i in order:
+        if not any((i, j) in suppressed_by for j in kept):
+            kept.add(i)
+    return [dets[i] for i in order if i in kept]
+
+
+def oracle_greedy_flags(iou, order, iou_threshold):
+    """TP/FP flags of the rows of the (D, G) matrix ``iou`` in ``order``: each
+    takes the untaken column with the highest positive IoU, lowest index on
+    ties, if that IoU reaches the threshold."""
+    if iou.shape[1] == 0:
+        return [False] * len(order)
+    taken = np.zeros(iou.shape[1], dtype=bool)
+    flags = []
+    for i in order:
+        row = np.where(taken, 0.0, iou[i])
+        g = int(np.argmax(row))
+        hit = bool(row[g] > 0.0 and row[g] >= iou_threshold)
+        taken[g] |= hit
+        flags.append(hit)
+    return flags
+
+
+def oracle_average_precision(flags, num_gt):
+    """All-point interpolated AP over score-ordered TP/FP flags."""
+    if num_gt == 0 or len(flags) == 0:
+        return 0.0
+    tp = np.cumsum([1.0 if f else 0.0 for f in flags])
+    fp = np.cumsum([0.0 if f else 1.0 for f in flags])
+    recall = tp / num_gt
+    precision = tp / (tp + fp)
+    mrec = np.concatenate([[0.0], recall])
+    mpre = np.concatenate([[0.0], precision])
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))

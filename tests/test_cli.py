@@ -71,6 +71,21 @@ class TestConfigFile:
         assert captured.err == f"error: config field {field} must be {kind}, got {value!r}\n"
 
     @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    @pytest.mark.parametrize("field, value", [
+        ("room_width", float("inf")), ("learning_rate", float("nan")),
+        ("max_depth", float("-inf")),
+    ])
+    def test_non_finite_field_exit_one(self, tmp_path, capsys, command, field, value):
+        captured = self.run_with(tmp_path, capsys, command, json.dumps({field: value}))
+        assert captured.err == f"error: config field {field} must be finite, got {value!r}\n"
+
+    @pytest.mark.parametrize("command", ["gen-scene", "fit"])
+    @pytest.mark.parametrize("field", ["fit_center_jitter", "fit_size_jitter", "fit_angle_jitter"])
+    def test_negative_jitter_exit_one(self, tmp_path, capsys, command, field):
+        captured = self.run_with(tmp_path, capsys, command, json.dumps({field: -1.0}))
+        assert captured.err == f"error: config field {field} must be nonnegative\n"
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
     def test_top_level_not_object_exit_one(self, tmp_path, capsys, command):
         captured = self.run_with(tmp_path, capsys, command, "5\n")
         assert captured.err == "error: config must be a JSON object, got 5\n"
@@ -154,6 +169,19 @@ class TestRender:
         err = capsys.readouterr().err
         assert err == f"error: {field} must be a list of numbers, got {value!r}\n"
 
+    @pytest.mark.parametrize("field, value", [
+        ("size", [1.0, float("inf"), 1.0]), ("euler", [0.0, float("nan"), 0.0])])
+    def test_scene_non_finite_number_exit_one(self, tmp_path, capsys, field, value):
+        scene = tmp_path / "scene.json"
+        run(["gen-scene", "--seed", "1", "--out", str(scene)])
+        data = json.loads(scene.read_text())
+        data["boxes"][0][field] = value
+        scene.write_text(json.dumps(data))
+        code = run(["render", "--scene", str(scene), "--out-dir", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {field} must be finite, got {value!r}\n"
+
     @pytest.mark.parametrize("field, value, message", [
         ("seed", "1", "seed must be an integer, got '1'"),
         ("camera width", "64", "malformed camera record: width must be an integer, got '64'"),
@@ -209,6 +237,25 @@ class TestStandardize:
         assert code == 1 and not out.exists()
         err = capsys.readouterr().err
         assert err == f"error: malformed camera record: {field} must be {kind}, got {value!r}\n"
+
+    @pytest.mark.parametrize("index, value", [(2, float("nan")), (0, float("inf")),
+                                              (3, float("-inf"))],
+                             ids=["nan-principal-point", "inf-focal", "neg-inf-principal-point"])
+    def test_non_finite_intrinsics_exit_one(self, tmp_path, capsys, index, value):
+        img_path = tmp_path / "img.ppm"
+        write_ppm(img_path, np.zeros((64, 64, 3)))
+        cam_path = tmp_path / "cam.json"
+        save_camera_json(cam_path, CameraModel([500.0, 480.0, 32.0, 30.0], np.eye(4), (64, 64)))
+        data = json.loads(cam_path.read_text())
+        data["intrinsics"][index] = value
+        cam_path.write_text(json.dumps(data))
+        out = tmp_path / "std.ppm"
+        code = run(["standardize", "--in", str(img_path), "--cam", str(cam_path),
+                    "--out", str(out), "--out-cam", str(tmp_path / "std.json")])
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err == ("error: malformed camera record: intrinsics must be finite, "
+                       f"got {data['intrinsics']!r}\n")
 
     def test_custom_intrinsics(self, tmp_path, capsys):
         img_path = tmp_path / "img.ppm"
@@ -338,6 +385,25 @@ class TestEvalCli:
         kind = "a number" if field == "score" else "a list of numbers"
         err = capsys.readouterr().err
         assert err == f"error: {dets}: line 1: {field} must be {kind}, got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("score", float("nan")), ("score", float("inf")), ("center", [0.0, float("-inf"), 1.0])])
+    def test_eval_non_finite_number_exit_one(self, tmp_path, capsys, field, value):
+        gt = tmp_path / "gt.jsonl"
+        run(["gen-scene", "--seed", "4", "--out", str(tmp_path / "scene.json"),
+             "--gt-out", str(gt)])
+        rec = json.loads(gt.read_text())
+        for box in rec["boxes"]:
+            box["score"] = 0.9
+        rec["boxes"][0][field] = value
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "report.csv"
+        code = run(["eval", "--dets", str(dets), "--gt", str(gt), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {dets}: line 1: {field} must be finite, got {value!r}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, field", [
@@ -611,8 +677,100 @@ GOLDEN_STANDARDIZE = {
 }
 
 
+GOLDEN_EVAL_CONFIG = RunConfig(min_boxes=2, max_boxes=6, box_size_min=0.1, box_size_max=1.2,
+                               num_categories=3)
+EVAL_VARIANTS = {
+    "default.csv": [],
+    "no_nms.csv": ["--no-nms"],
+    "nms03_iou05.csv": ["--nms-iou", "0.3", "--iou", "0.5"],
+}
+
+
+def _jittered(box, rng, sigma):
+    return {"category": box["category"],
+            "center": (np.array(box["center"]) + rng.normal(0.0, sigma, 3)).tolist(),
+            "size": (np.array(box["size"]) * np.exp(rng.normal(0.0, sigma, 3))).tolist(),
+            "euler": (np.array(box["euler"]) + rng.normal(0.0, sigma, 3)).tolist()}
+
+
+def write_eval_set(root, seed):
+    """A 4-scene eval set from ``gen-scene`` seeds, its ground truth tagged
+    with two subsets, and the reports of every ``EVAL_VARIANTS`` run on it.
+
+    The last box of each scene is shrunk so that every size class holds
+    ground truth. Each ground-truth box gets two jittered detections (so NMS
+    suppresses), every third one an exact duplicate of itself, and each scene
+    one small spurious box of category 1-3 (3 has no ground truth); scores are
+    rounded to one decimal, so they tie."""
+    rng = np.random.default_rng([seed, 0xE7A1])
+    work = root.parent / f"{root.name}-work"
+    work.mkdir()
+    GOLDEN_EVAL_CONFIG.save(work / "config.json")
+    gt_lines, det_lines = [], []
+    for j in range(4):
+        assert run(["gen-scene", "--seed", str(10 * seed + j), "--out", str(work / "scene.json"),
+                    "--gt-out", str(work / "gt.jsonl"),
+                    "--config", str(work / "config.json")]) == 0
+        rec = json.loads((work / "gt.jsonl").read_text())
+        rec["scene_id"], rec["subset"] = f"s{seed}-{j}", "ab"[j % 2]
+        rec["boxes"][-1]["size"] = [0.2 * s for s in rec["boxes"][-1]["size"]]
+        dets = []
+        for k, box in enumerate(rec["boxes"]):
+            for sigma, low in ((0.03, 0.5), (0.1, 0.2)):
+                dets.append({**_jittered(box, rng, sigma), "score": round(rng.uniform(low, 1.0), 1)})
+            if k % 3 == 0:
+                dets.append({**box, "score": round(rng.uniform(0.0, 1.0), 1)})
+        dets.append({"category": int(rng.integers(1, 4)),
+                     "center": rng.uniform(-2.0, 2.0, 3).tolist(),
+                     "size": rng.uniform(0.1, 0.25, 3).tolist(),
+                     "euler": rng.uniform(-1.0, 1.0, 3).tolist(),
+                     "score": round(rng.uniform(0.0, 0.7), 1)})
+        gt_lines.append(json.dumps(rec, sort_keys=True) + "\n")
+        det_lines.append(json.dumps({"scene_id": rec["scene_id"], "boxes": dets}) + "\n")
+    (root / "gt.jsonl").write_text("".join(gt_lines))
+    (root / "dets.jsonl").write_text("".join(det_lines))
+    for name, flags in EVAL_VARIANTS.items():
+        assert run(["eval", "--dets", str(root / "dets.jsonl"), "--gt", str(root / "gt.jsonl"),
+                    "--out", str(root / name), *flags]) == 0
+
+
+# Digests of the eval inputs and reports written before the pooled NMS and
+# the list-based greedy matcher.
+GOLDEN_EVALS = {
+    1: {
+        'default.csv': '5cdff33c8fb0f484',
+        'dets.jsonl': '5e427db214ac2b85',
+        'gt.jsonl': '57222778615ca016',
+        'nms03_iou05.csv': '943c679c2b977705',
+        'no_nms.csv': 'ea632c467b233773',
+    },
+    2: {
+        'default.csv': '38ccb3dc2df0759f',
+        'dets.jsonl': '020be0fb1482f5ab',
+        'gt.jsonl': '8a4121f0561aada7',
+        'nms03_iou05.csv': 'df5a7bada938fe15',
+        'no_nms.csv': '3ff898fb67f9f906',
+    },
+    3: {
+        'default.csv': 'cd7fbca9611ba186',
+        'dets.jsonl': '634bac02a3c3a629',
+        'gt.jsonl': 'b853af520b3dff63',
+        'nms03_iou05.csv': '808dff73e9356ac1',
+        'no_nms.csv': 'aca2998a296f678c',
+    },
+}
+
+
 class TestGoldenBytes:
-    """Every file of the perceive chain and of ``standardize`` is byte-stable."""
+    """Every file of the perceive chain, of ``standardize`` and of ``eval`` is
+    byte-stable."""
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_EVALS))
+    def test_eval_reports(self, tmp_path, capsys, seed):
+        root = tmp_path / "out"
+        root.mkdir()
+        write_eval_set(root, seed)
+        assert file_digests(root) == GOLDEN_EVALS[seed]
 
     @pytest.mark.parametrize("name, seed", sorted(GOLDEN_SCENES))
     def test_scene_chain(self, tmp_path, capsys, name, seed):

@@ -59,6 +59,16 @@ class TestJsonTypes:
             RunConfig.from_json(json.dumps({field: value}))
         assert str(exc.value) == f"config field {field} must be {kind}, got {value!r}"
 
+    @pytest.mark.parametrize("field, value", [
+        ("room_width", math.inf), ("learning_rate", math.nan), ("max_depth", -math.inf),
+        ("fit_center_jitter", math.nan), ("nms_iou_threshold", math.inf),
+    ])
+    def test_non_finite_number_names_it(self, field, value):
+        # Python's json writes and reads the non-standard NaN and Infinity
+        with pytest.raises(ValueError) as exc:
+            RunConfig.from_json(json.dumps({field: value}))
+        assert str(exc.value) == f"config field {field} must be finite, got {value!r}"
+
     @pytest.mark.parametrize("text", ["5", "[]", "null", '"seed"'])
     def test_top_level_must_be_object(self, text):
         with pytest.raises(ValueError, match="config must be a JSON object"):
@@ -90,3 +100,18 @@ class TestThresholdRange:
     def test_replace_runs_the_check(self):
         with pytest.raises(ValueError, match="nms_iou_threshold"):
             dataclasses.replace(RunConfig(), nms_iou_threshold=-0.2)
+
+
+class TestJitterRange:
+    @pytest.mark.parametrize("field", ["fit_center_jitter", "fit_size_jitter", "fit_angle_jitter"])
+    def test_zero_accepted(self, field):
+        assert getattr(RunConfig(**{field: 0.0}), field) == 0.0
+
+    @pytest.mark.parametrize("field", ["fit_center_jitter", "fit_size_jitter", "fit_angle_jitter"])
+    @pytest.mark.parametrize("value", [-1.0, -1e-9, math.nan])
+    def test_negative_rejected(self, field, value):
+        with pytest.raises(ValueError) as exc:
+            RunConfig(**{field: value})
+        assert str(exc.value) == f"config field {field} must be nonnegative"
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(RunConfig(), **{field: value})

@@ -2,15 +2,19 @@
 JSON-lines interchange, each checked against brute-force oracles."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvbox3d.evaluation import (
     SIZE_CLASSES,
     GroundTruthSet,
     SceneGroundTruth,
     SizeThresholds,
+    _greedy_flags,
     average_precision,
     load_detections_jsonl,
     load_gt_jsonl,
@@ -21,7 +25,9 @@ from mvbox3d.evaluation import (
     save_gt_jsonl,
 )
 from mvbox3d.geometry import Box9DoF, Detection, box_iou
-from oracles import oracle_iou
+from oracles import oracle_average_precision, oracle_greedy_flags, oracle_iou
+
+PROPERTIES = settings(derandomize=True, max_examples=200, deadline=None)
 
 
 def cube(center, edge=1.0, category=0, score=None):
@@ -111,7 +117,53 @@ class TestMatchDetections:
             )
 
 
+# IoU tables with ties, all-zero rows, values at the tested thresholds and no
+# columns at all: (rows as lists, column count, visiting order, ascending
+# column subset).
+_IOU_VALUE = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _iou_tables(draw):
+    d, g = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    iou = [draw(st.one_of(st.just([0.0] * g), st.lists(_IOU_VALUE, min_size=g, max_size=g)))
+           for _ in range(d)]
+    order = draw(st.permutations(range(d)))
+    cols = sorted(draw(st.sets(st.integers(0, g - 1), max_size=g))) if g else []
+    return iou, g, order, cols
+
+
+class TestGreedyMatcher:
+    """The list matcher equals the numpy oracle on random tables."""
+
+    @PROPERTIES
+    @given(_iou_tables(), st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0]))
+    def test_matches_oracle(self, table, threshold):
+        iou, g, order, cols = table
+        matrix = np.array(iou, dtype=float).reshape(len(iou), g)
+        assert _greedy_flags(iou, order, range(g), threshold) == (
+            oracle_greedy_flags(matrix, order, threshold))
+        assert _greedy_flags(iou, order, cols, threshold) == (
+            oracle_greedy_flags(matrix[:, cols], order, threshold))
+
+    def test_ties_zero_rows_and_no_columns(self):
+        iou = [[0.5, 0.5, 0.25], [0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.25, 0.0, 0.25]]
+        order = [0, 1, 2, 3]
+        # 0 takes gt 0 (tie, lowest index), 1 has no overlap, 2 takes gt 1,
+        # 3 reaches the threshold 0.25 exactly on gt 2
+        assert _greedy_flags(iou, order, range(3), 0.25) == [True, False, True, True]
+        assert _greedy_flags(iou, order, [2], 0.25) == [True, False, False, False]
+        assert _greedy_flags([[], []], [1, 0], [], 0.25) == [False, False]
+
+
 class TestAveragePrecision:
+    @PROPERTIES
+    @given(st.lists(st.booleans(), max_size=40), st.integers(0, 45))
+    def test_envelope_matches_loop_bitwise(self, flags, extra_gt):
+        num_gt = sum(flags) + extra_gt
+        ap, expected = average_precision(flags, num_gt), oracle_average_precision(flags, num_gt)
+        assert struct.pack("<d", ap) == struct.pack("<d", expected)
+
     def test_known_cases(self):
         assert average_precision([True], 1) == pytest.approx(1.0)
         assert average_precision([False, True], 1) == pytest.approx(0.5)

@@ -1,11 +1,15 @@
 """Geometry tests: rotations, corners, cuboid symmetries, Gaussian form,
-exact IoU against a Monte-Carlo oracle, and NMS against brute force."""
+exact IoU against a Monte-Carlo oracle, and NMS against brute force and the
+per-scene oracle."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mvbox3d import geometry
 from mvbox3d.geometry import (
     CORNER_OFFSETS,
     Box9DoF,
@@ -17,12 +21,14 @@ from mvbox3d.geometry import (
     euler_to_rotation,
     intersection_volume,
     nms,
+    nms_scenes,
     reparameterize_box,
     rotation_derivatives,
     rotation_to_euler,
     signed_permutations,
     transform_box,
 )
+from oracles import oracle_nms
 
 
 def random_boxes(rng, n, center_scale=2.0):
@@ -404,3 +410,99 @@ class TestNms:
                 dets.append(Detection(box, float(rng.choice([0.5, 0.9])), int(rng.integers(0, 3))))
             kept = nms(dets, 0.3)
             assert [id(d) for d in kept] == [id(d) for d in brute_force_nms(dets, 0.3)]
+
+
+# Centers on a coarse lattice, so that same-category boxes overlap often, and
+# few score levels, so that visits tie on score.
+_NMS_BOX = st.builds(
+    lambda center, size, yaw: Box9DoF(center, size, [0.0, 0.0, yaw]),
+    st.lists(st.sampled_from([-0.6, -0.2, 0.0, 0.3, 0.7, 3.0]), min_size=3, max_size=3),
+    st.lists(st.sampled_from([0.5, 0.8, 1.0, 1.3]), min_size=3, max_size=3),
+    st.sampled_from([0.0, 0.4, -1.0, 1.5707963267948966]),
+)
+_NMS_DET = st.builds(Detection, _NMS_BOX, st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+                     st.integers(0, 2))
+
+
+@st.composite
+def _nms_scenes(draw):
+    """Up to 4 scenes of up to 6 detections, some of them exact duplicates
+    (equal fields, distinct objects) of earlier ones."""
+    scenes = {}
+    for s in range(draw(st.integers(0, 4))):
+        dets = draw(st.lists(_NMS_DET, max_size=6))
+        for k in draw(st.lists(st.integers(0, 5), max_size=2)):
+            if k < len(dets):
+                dets.append(Detection(dets[k].box, dets[k].score, dets[k].category))
+        scenes[f"scene{s}"] = dets
+    return scenes
+
+
+def _counting_paired_iou(monkeypatch):
+    """Replaces ``geometry.paired_iou`` by a wrapper; returns the list of the
+    pair counts of its calls."""
+    calls = []
+    original = geometry.paired_iou
+
+    def counted(pa, pb):
+        calls.append(len(pa))
+        return original(pa, pb)
+
+    monkeypatch.setattr(geometry, "paired_iou", counted)
+    return calls
+
+
+def _ids(scenes):
+    return {sid: [id(d) for d in dets] for sid, dets in scenes.items()}
+
+
+class TestNmsScenes:
+    """``nms_scenes`` equals the per-scene oracle scene by scene, with one
+    ``paired_iou`` call for all scenes."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_nms_scenes(), st.one_of(st.sampled_from([0.0, 0.4, 1.0]), st.floats(0.0, 1.0)))
+    def test_matches_oracle(self, scenes, threshold):
+        kept = nms_scenes(scenes, threshold)
+        assert list(kept) == list(scenes)
+        assert _ids(kept) == _ids({sid: oracle_nms(d, threshold) for sid, d in scenes.items()})
+
+    def test_one_call_for_all_scenes(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        scenes = {f"s{k}": [Detection(Box9DoF(rng.uniform(-0.5, 0.5, 3), [1, 1, 1], [0, 0, 0]),
+                                      float(rng.uniform()), int(rng.integers(2)))
+                            for _ in range(5)] for k in range(4)}
+        expected = {sid: oracle_nms(d, 0.4) for sid, d in scenes.items()}
+        calls = _counting_paired_iou(monkeypatch)
+        assert _ids(nms_scenes(scenes, 0.4)) == _ids(expected)
+        assert len(calls) == 1
+
+    def test_empty_and_single_scenes(self, monkeypatch):
+        box = Box9DoF([0, 0, 0], [1, 1, 1], [0, 0, 0])
+        single = Detection(box, 0.5, 1)
+        calls = _counting_paired_iou(monkeypatch)
+        assert nms_scenes({}, 0.4) == {}
+        assert nms_scenes({"a": [], "b": [single], "c": []}, 0.4) == {
+            "a": [], "b": [single], "c": []}
+        assert calls == [0, 0]
+
+    def test_no_same_category_pair(self, monkeypatch):
+        box = Box9DoF([0, 0, 0], [1, 1, 1], [0, 0, 0])
+        scenes = {"a": [Detection(box, 0.9, 0), Detection(box, 0.9, 1)],
+                  "b": [Detection(box, 0.2, 2), Detection(box, 0.7, 0), Detection(box, 0.7, 1)]}
+        calls = _counting_paired_iou(monkeypatch)
+        kept = nms_scenes(scenes, 0.4)
+        assert calls == [0]
+        assert _ids(kept) == _ids({"a": scenes["a"],
+                                   "b": [scenes["b"][1], scenes["b"][2], scenes["b"][0]]})
+
+    def test_duplicates_across_scenes_do_not_suppress(self):
+        box = Box9DoF([0, 0, 0], [1, 1, 1], [0, 0, 0])
+        scenes = {"a": [Detection(box, 0.5, 0)], "b": [Detection(box, 0.9, 0)]}
+        assert _ids(nms_scenes(scenes, 0.4)) == _ids(scenes)
+
+    def test_nms_is_one_scene_view(self):
+        box = Box9DoF([0, 0, 0], [1, 1, 1], [0, 0, 0])
+        dets = [Detection(box, 0.5, 0), Detection(box, 0.9, 0), Detection(box, 0.5, 1)]
+        # visited 1, 0, 2: the duplicate 0 of the kept 1 goes, the other category stays
+        assert [id(d) for d in nms(dets, 0.4)] == [id(dets[1]), id(dets[2])]

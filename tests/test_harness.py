@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mvbox3d import evaluation, geometry
 from mvbox3d.camera import (
     DEFAULT_STD_INTRINSICS,
     CameraModel,
@@ -580,6 +581,26 @@ class TestRunEval:
         with_nms, _ = run_eval(det_dup, gt_path, RunConfig(), apply_nms=True)
         clean, _ = run_eval(det_clean, gt_path, RunConfig(), apply_nms=True)
         assert with_nms.overall_ap == pytest.approx(clean.overall_ap, abs=1e-12)
+
+    @pytest.mark.parametrize("apply_nms, expected", [(True, 2), (False, 1)])
+    def test_iou_engine_calls(self, tmp_path, monkeypatch, apply_nms, expected):
+        """One pooled ``paired_iou`` call for the NMS of every scene and one
+        for the report."""
+        det_path, gt_path = self._write_scene_files(tmp_path, perturb=0.05, duplicate=True)
+        calls = []
+
+        def counting(module):
+            original = module.paired_iou
+
+            def counted(pa, pb):
+                calls.append(module.__name__)
+                return original(pa, pb)
+            monkeypatch.setattr(module, "paired_iou", counted)
+
+        counting(geometry)
+        counting(evaluation)
+        run_eval(det_path, gt_path, RunConfig(), apply_nms=apply_nms)
+        assert len(calls) == expected
 
     def test_parse_error(self, tmp_path):
         gt_path = tmp_path / "gt.jsonl"
