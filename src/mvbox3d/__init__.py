@@ -56,10 +56,8 @@ from .evaluation import (
 from .geometry import (
     Box9DoF,
     Detection,
-    GaussianBox,
     box_corners,
     box_iou,
-    box_to_gaussian,
     euler_to_rotation,
     nms,
     nms_scenes,

@@ -184,7 +184,8 @@ def frustum_point_grid(cam: CameraModel, grid_hw: tuple[int, int], max_depth: fl
 # ---------------------------------------------------------------------------
 
 
-def bilinear_warp(image: np.ndarray, src_u: np.ndarray, src_v: np.ndarray) -> np.ndarray:
+def bilinear_warp(image: np.ndarray, src_u: np.ndarray, src_v: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Sample an (H, W) or (H, W, C) ``image`` at continuous (src_u, src_v)
     with zero fill outside; the package's one bilinear sampler.
 
@@ -197,7 +198,9 @@ def bilinear_warp(image: np.ndarray, src_u: np.ndarray, src_v: np.ndarray) -> np
     at the border, everything else is zero-padded. Every sample is summed as
     ((a (1-fu)) (1-fv) + (b fu) (1-fv)) + (c (1-fu)) fv + (d fu) fv.
     For a (1, W) row and an (H, 1) column the neighbours are gathered as the
-    source rows first and then their columns; otherwise as flat pixels.
+    source rows first and then their columns; otherwise as flat pixels. The
+    samples are written to ``out`` when it is given, a float64 array (or view)
+    of the result's shape.
     """
     img = np.asarray(image)
     squeeze = img.ndim == 2
@@ -224,7 +227,9 @@ def bilinear_warp(image: np.ndarray, src_u: np.ndarray, src_v: np.ndarray) -> np
         pixels = img.reshape(height * width, channels)
         corners = (pixels.take(rows * width + cols, axis=0)
                    for rows in (v0, v1) for cols in (u0, u1))
-    out = next(corners) * gu
+    if out is not None and squeeze:
+        out = out[..., None]
+    out = np.multiply(next(corners), gu, out=out)
     out *= gv
     term = np.empty_like(out)
     for corner, weight_u, weight_v in zip(corners, (fu, gu, fu), (gv, fv, fv)):
@@ -245,7 +250,8 @@ def standardize_intrinsics(image, cam: CameraModel, std_intrinsics=None):
     Coordinates falling outside the source are zero-padded. The returned
     camera carries the standardized intrinsics and untouched extrinsics. The
     map is separable, so the sampler gets one (1, W) row of u and one (H, 1)
-    column of v.
+    column of v; and it is monotone, so the valid samples form one rectangle,
+    the only part that is sampled.
 
     Returns:
         (warped image as float array, standardized CameraModel)
@@ -261,7 +267,11 @@ def standardize_intrinsics(image, cam: CameraModel, std_intrinsics=None):
     fu_t, fv_t, cu_t, cv_t = std
     src_u = fu_s * (np.arange(width, dtype=float)[None, :] - cu_t) / fu_t + cu_s
     src_v = fv_s * (np.arange(height, dtype=float)[:, None] - cv_t) / fv_t + cv_s
-    warped = bilinear_warp(img, src_u, src_v)
+    cols = np.flatnonzero((src_u[0] >= 0) & (src_u[0] <= width - 1))
+    rows = np.flatnonzero((src_v[:, 0] >= 0) & (src_v[:, 0] <= height - 1))
+    rows, cols = (slice(i[0], i[-1] + 1) if len(i) else slice(0) for i in (rows, cols))
+    warped = np.zeros(img.shape)
+    bilinear_warp(img, src_u[:, cols], src_v[rows], out=warped[rows, cols])
     new_cam = CameraModel(std, cam.extrinsics.copy(), cam.image_size)
     return warped, new_cam
 

@@ -19,6 +19,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -55,13 +56,18 @@ class Box9DoF:
     euler: np.ndarray
 
     def __post_init__(self):
-        center = _as_vec3(self.center, "center")
-        size = _as_vec3(self.size, "size")
-        euler = _as_vec3(self.euler, "euler")
-        if (size <= 0.0).any():
-            raise ValueError(f"size components must be strictly positive, got {size}")
-        for name, v in (("center", center), ("size", size), ("euler", euler)):
-            v.setflags(write=False)
+        names = ("center", "size", "euler")
+        try:  # one (3, 3) array and one finite check
+            fields = np.array([self.center, self.size, self.euler], dtype=float).reshape(3, 3)
+            finite = all(map(math.isfinite, fields.ravel().tolist()))
+        except (TypeError, ValueError, OverflowError):
+            finite = False
+        if not finite:  # field by field, so that the first bad one is named
+            fields = np.stack([_as_vec3(getattr(self, name), name) for name in names])
+        if min(fields[1].tolist()) <= 0.0:
+            raise ValueError(f"size components must be strictly positive, got {fields[1]}")
+        fields.setflags(write=False)
+        for name, v in zip(names, fields):
             object.__setattr__(self, name, v)
 
     def to_params(self) -> np.ndarray:
@@ -90,26 +96,6 @@ def box_params(box) -> np.ndarray:
     if p.shape[-1:] != (9,):
         raise ValueError(f"expected (..., 9) box parameters, got shape {p.shape}")
     return p
-
-
-@dataclass(frozen=True)
-class GaussianBox:
-    """Gaussian surrogate of a box: mean and symmetric covariance-like matrix."""
-
-    mean: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        mean = _as_vec3(self.mean, "mean")
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.shape != (3, 3):
-            raise ValueError("sigma must be a 3x3 matrix")
-        if np.max(np.abs(sigma - sigma.T)) > 1e-9:
-            raise ValueError("sigma must be symmetric")
-        mean.setflags(write=False)
-        sigma.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "sigma", sigma)
 
 
 @dataclass(frozen=True)
@@ -265,16 +251,6 @@ def transform_box(box: Box9DoF, transform) -> Box9DoF:
     return Box9DoF(center, box.size.copy(), rotation_to_euler(rot))
 
 
-def box_to_gaussian(box: Box9DoF) -> GaussianBox:
-    """Gaussian form with mean = center and sigma = R diag(w, l, h) R^T.
-
-    Invariant under all 48 signed-permutation reparameterizations, which is
-    what makes the derived Wasserstein loss orientation-ambiguity free.
-    """
-    sigma = gaussian_sigma(box.size, euler_to_rotation(box.euler))
-    return GaussianBox(box.center.copy(), 0.5 * (sigma + sigma.T))
-
-
 # ---------------------------------------------------------------------------
 # Exact oriented IoU: broad phase, vertex enumeration and a face-plane volume.
 # ---------------------------------------------------------------------------
@@ -331,25 +307,26 @@ def _separated(t, ha, hb, rel) -> np.ndarray:
 
 
 def _vertex_candidates(corners, local, half):
-    """The 80 candidate vertices of a box intersection that one box gives: its
-    8 corners inside the other box, and its 12 edges' crossings of the other's
-    6 face planes. ``corners`` (..., 8, 3) are the box's corners in the frame
-    of the result, ``local`` the same corners in the other box's frame and
-    ``half`` (..., 3) the other's half extents. Returns the points
-    (..., 80, 3) and a mask (..., 80) of the valid ones."""
+    """The 80 candidate vertices of a box intersection that each box of n pairs
+    gives: its 8 corners inside the other box, and its 12 edges' crossings of
+    the other's 6 face planes. ``corners`` (box, 8, 3, n) are the box's corners
+    in the frame of the result, ``local`` the same corners in the other box's
+    frame and ``half`` (box, 3, n) the other's half extents. Returns the points
+    (box, 80, 3, n) and a mask (box, 80, n) of the valid ones."""
     limit = half + _PLANE_EPS
-    inside = np.all(np.abs(local) <= limit[..., None, :], axis=-1)
-    start, end = local[..., _EDGES[:, 0], :], local[..., _EDGES[:, 1], :]
-    planes = np.stack([-half, half], axis=-2)[..., None, :, :]  # (..., 1, side, axis)
+    inside = np.all(np.abs(local) <= limit[:, None], axis=2)
+    start, end = local[:, _EDGES[:, 0]], local[:, _EDGES[:, 1]]  # (box, 12, xyz, n)
+    step = end - start
+    planes = np.stack([-half, half], axis=1)[:, None]  # (box, 1, side, axis, n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (planes - start[..., None, :]) / (end - start)[..., None, :]  # (..., 12, 2, 3)
-        hits = start[..., None, None, :] + t[..., None] * (end - start)[..., None, None, :]
-    valid = (t > 0.0) & (t < 1.0) & np.all(np.abs(hits) <= limit[..., None, None, None, :], axis=-1)
+        t = (planes - start[:, :, None]) / step[:, :, None]  # (box, 12, side, axis, n)
+        hits = start[:, :, None, None] + t[:, :, :, :, None] * step[:, :, None, None]
+    valid = (t > 0.0) & (t < 1.0) & np.all(np.abs(hits) <= limit[:, None, None, None], axis=4)
     # crossings from the edge in the result's frame, so that they lie on it exactly
-    a, b = corners[..., _EDGES[:, 0], :], corners[..., _EDGES[:, 1], :]
-    world = a[..., None, None, :] + np.where(valid, t, 0.0)[..., None] * (b - a)[..., None, None, :]
-    return (np.concatenate([corners, world.reshape(world.shape[:-4] + (72, 3))], axis=-2),
-            np.concatenate([inside, valid.reshape(valid.shape[:-3] + (72,))], axis=-1))
+    a, b = corners[:, _EDGES[:, 0]], corners[:, _EDGES[:, 1]]
+    world = a[:, :, None, None] + np.where(valid, t, 0.0)[:, :, :, :, None] * (b - a)[:, :, None, None]
+    return (np.concatenate([corners, world.reshape(2, 72, 3, -1)], axis=1),
+            np.concatenate([inside, valid.reshape(2, 72, -1)], axis=1))
 
 
 def _pair_vertices(pa, pb):
@@ -378,12 +355,14 @@ def _pair_vertices(pa, pb):
     live, t, rel, half = near[keep], t[keep], rel[keep], half[keep]
     if len(live) == 0:
         return live, None, None, None, None, None
-    # (n, box, corner, xyz): a's corners and edges against b, and b's against a
+    # (n, box, corner, xyz) for the matmuls, whose sums depend on the layout; the
+    # enumeration on contiguous pair-last copies, one long loop per elementwise op
     corners = np.stack([2.0 * CORNER_OFFSETS * half[:, None, 0],
                         t[:, None] + corner_arms(2.0 * half[:, 1], rel)], axis=1)
     local = np.stack([(corners[:, 0] - t[:, None]) @ rel, corners[:, 1]], axis=1)
-    points, mask = _vertex_candidates(corners, local, half[:, ::-1])
-    return live, t, rel, half, points.reshape(len(live), 160, 3), mask.reshape(len(live), 160)
+    points, mask = _vertex_candidates(*(np.ascontiguousarray(np.moveaxis(v, 0, -1))
+                                        for v in (corners, local, half[:, ::-1])))
+    return live, t, rel, half, points.reshape(160, 3, -1).transpose(2, 0, 1), mask.reshape(160, -1).T
 
 
 def _intersection_volumes(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -415,7 +394,7 @@ def _intersection_volumes(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
           & (np.arange(x.shape[1]) < count[:, None])[:, None, None, None]).reshape(len(x), 12, -1)
     flat = (on.sum(axis=-1) == count[:, None]).any(axis=1)
     # each plane of a with its most nearly parallel, equally oriented plane of b
-    twin = np.argmax(np.outer(_PLANE_SIGN, _PLANE_SIGN) * rel[:, _PLANE_AXIS][..., _PLANE_AXIS], 2)
+    twin = np.argmax(np.outer(_PLANE_SIGN, _PLANE_SIGN) * rel[:, _PLANE_AXIS[:, None], _PLANE_AXIS], 2)
     on = np.concatenate([on, on[:, :6] & on[pair, 6 + twin]], axis=1)
     fl, ff = np.nonzero((on.sum(axis=-1) >= 3) & ~flat[:, None])
     if len(fl) == 0:
@@ -426,10 +405,10 @@ def _intersection_volumes(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     uv = np.where(on, coords[fl[:, None], _FACE_BOX[ff, None], _FACE_UV[ff]], 0.0)
     uv = np.where(on, uv - np.cumsum(uv, axis=2)[..., -1:] / k, 0.0)
     order = np.argsort(np.where(on[:, 0], np.arctan2(uv[:, 1], uv[:, 0]), np.inf), 1, kind="stable")
-    face, uv_axis = np.arange(len(fl))[:, None, None], np.arange(2)[:, None]
-    uv = uv[face, uv_axis, order[:, None]]
+    rows = np.arange(0, uv.size, uv.shape[2]).reshape(len(fl), 2, 1)  # flat (face, uv) offsets
+    uv = uv.take(rows + order[:, None])
     nxt = np.arange(1, uv.shape[2] + 1)
-    nxt = uv[face, uv_axis, np.where(nxt < k, nxt, 0)]
+    nxt = uv.take(rows + np.where(nxt < k, nxt, 0))
     twice_area = np.cumsum(uv[:, 0] * nxt[:, 1] - uv[:, 1] * nxt[:, 0], axis=1)[:, -1]
     # a's planes lie half_a from its center; b's are shifted by b's center in b's frame
     height = _FACE_WEIGHT * (half[:, _FACE_BOX, _FACE_AXIS]

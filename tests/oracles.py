@@ -8,6 +8,13 @@
   intersection vertices that ``geometry`` enumerates, one pair at a time; 0
   when there are fewer than 4 or their hull is flat. It checks the
   library's face-plane volume of the same vertices.
+* ``oracle_box_to_gaussian``: the Gaussian form of one box, (mean, sigma)
+  with sigma = R diag(w, l, h) R^T symmetrized, R composed from the three
+  single-axis rotations.
+* ``oracle_pair_vertices`` / ``oracle_vertex_candidates``: the broad phase
+  and candidate intersection vertices of box pairs with the pair axis first,
+  so that every elementwise op runs over an axis of length 2 or 3, and every
+  temporary is a fresh array.
 * ``chamfer_tie_margin`` / ``pcd_tie_margin``: how close a (pred, gt) pair is
   to a switch of the active corner pairs of the corner chamfer or permutation
   corner loss; finite differences are not compared across such a switch.
@@ -51,9 +58,14 @@ from mvbox3d.aggregation import (
 )
 from mvbox3d.camera import project_points
 from mvbox3d.geometry import (
+    _EDGES,
+    _PLANE_EPS,
+    CORNER_OFFSETS,
     Box9DoF,
     _pair_vertices,
+    _separated,
     box_corners,
+    corner_arms,
     corner_permutation_table,
     euler_to_rotation,
     paired_iou,
@@ -200,6 +212,59 @@ def oracle_hull_volume(a, b):
         return float(ConvexHull(points[0, mask[0]]).volume)
     except QhullError:
         return 0.0
+
+
+def oracle_box_to_gaussian(box):
+    """(mean, sigma) of a ``Box9DoF``: sigma = R diag(w, l, h) R^T, symmetrized,
+    with R = Rz(yaw) Ry(pitch) Rx(roll) multiplied out from its factors."""
+    (cr, cp, cy), (sr, sp, sy) = np.cos(box.euler), np.sin(box.euler)
+    rot = (np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
+           @ np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
+           @ np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]]))
+    sigma = rot @ np.diag(box.size) @ rot.T
+    return box.center.copy(), 0.5 * (sigma + sigma.T)
+
+
+def oracle_vertex_candidates(corners, local, half):
+    """The 80 candidate vertices that one box gives, pair-first: ``corners``
+    and ``local`` (..., 8, 3) and the other box's ``half`` (..., 3); returns
+    the points (..., 80, 3) and their mask (..., 80)."""
+    limit = half + _PLANE_EPS
+    inside = np.all(np.abs(local) <= limit[..., None, :], axis=-1)
+    start, end = local[..., _EDGES[:, 0], :], local[..., _EDGES[:, 1], :]
+    planes = np.stack([-half, half], axis=-2)[..., None, :, :]  # (..., 1, side, axis)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (planes - start[..., None, :]) / (end - start)[..., None, :]  # (..., 12, 2, 3)
+        hits = start[..., None, None, :] + t[..., None] * (end - start)[..., None, None, :]
+    valid = (t > 0.0) & (t < 1.0) & np.all(np.abs(hits) <= limit[..., None, None, None, :], axis=-1)
+    a, b = corners[..., _EDGES[:, 0], :], corners[..., _EDGES[:, 1], :]
+    world = a[..., None, None, :] + np.where(valid, t, 0.0)[..., None] * (b - a)[..., None, None, :]
+    return (np.concatenate([corners, world.reshape(world.shape[:-4] + (72, 3))], axis=-2),
+            np.concatenate([inside, valid.reshape(valid.shape[:-3] + (72,))], axis=-1))
+
+
+def oracle_pair_vertices(pa, pb):
+    """``geometry._pair_vertices`` with the pair axis first: the kept indices,
+    ``t`` (n, 3), ``rel`` (n, 3, 3), the half extents (n, 2, 3), and the
+    candidates (n, 160, 3) with their mask (n, 160)."""
+    offset = pb[:, :3] - pa[:, :3]
+    reach = 0.5 * (np.linalg.norm(pa[:, 3:6], axis=1) + np.linalg.norm(pb[:, 3:6], axis=1))
+    near = np.flatnonzero(np.einsum("ki,ki->k", offset, offset) <= reach * reach)
+    if len(near) == 0:
+        return near, None, None, None, None, None
+    rot_a = euler_to_rotation(pa[near, 6:])
+    t = np.einsum("kji,kj->ki", rot_a, offset[near])
+    rel = rot_a.swapaxes(-1, -2) @ euler_to_rotation(pb[near, 6:])
+    half = 0.5 * np.stack([pa[near, 3:6], pb[near, 3:6]], axis=1)
+    keep = ~_separated(t, half[:, 0], half[:, 1], rel)
+    live, t, rel, half = near[keep], t[keep], rel[keep], half[keep]
+    if len(live) == 0:
+        return live, None, None, None, None, None
+    corners = np.stack([2.0 * CORNER_OFFSETS * half[:, None, 0],
+                        t[:, None] + corner_arms(2.0 * half[:, 1], rel)], axis=1)
+    local = np.stack([(corners[:, 0] - t[:, None]) @ rel, corners[:, 1]], axis=1)
+    points, mask = oracle_vertex_candidates(corners, local, half[:, ::-1])
+    return live, t, rel, half, points.reshape(len(live), 160, 3), mask.reshape(len(live), 160)
 
 
 def oracle_iou(a, b):

@@ -321,6 +321,57 @@ class TestSamplerOracle:
         expected = [[[0.0, 0.0, 0.0]]] if std[2] else [[[7.0, 200.0, 31.0]]]
         assert np.array_equal(warped, expected)
 
+    @pytest.mark.parametrize("channels", [None, 3], ids=["grey", "rgb"])
+    def test_out_receives_the_samples(self, channels):
+        rng = np.random.default_rng(16)
+        img = rng.integers(0, 256, (20, 30) if channels is None else (20, 30, channels))
+        u, v = rng.uniform(-2.0, 31.0, (1, 25)), rng.uniform(-2.0, 21.0, (16, 1))
+        canvas = np.zeros((18, 28) if channels is None else (18, 28, channels))
+        got = bilinear_warp(img.astype(np.uint8), u, v, out=canvas[1:-1, 2:-1])
+        assert np.shares_memory(got, canvas)
+        assert bitwise_equal(canvas[1:-1, 2:-1].copy(), bilinear_warp(img.astype(np.uint8), u, v))
+        canvas[1:-1, 2:-1] = 0.0
+        assert not canvas.any()
+
+    @pytest.mark.parametrize("std", [(60.0, 55.0, -600.0, 500.0), (6.0, 5.5, -60.0, -60.0)],
+                             ids=["shifted-away", "far-corner"])
+    def test_map_entirely_outside_gives_zeros(self, std):
+        img = np.random.default_rng(13).integers(0, 256, (37, 52, 3)).astype(np.uint8)
+        cam = CameraModel([60.0, 55.0, 25.3, 18.1], np.eye(4), (52, 37))
+        warped, _ = standardize_intrinsics(img, cam, std)
+        assert warped.shape == (37, 52, 3) and warped.dtype == np.float64 and not warped.any()
+        assert bitwise_equal(warped, oracle_standardize_warp(img, cam, std))
+
+    @pytest.mark.parametrize("std, keep", [((10.0, 300.0, 10.0, 10.0), (slice(None), 10)),
+                                           ((300.0, 10.0, 10.0, 10.0), (10, slice(None)))],
+                             ids=["column", "row"])
+    def test_single_valid_row_or_column(self, std, keep):
+        # a 30-pixel source step: only output index 10 maps inside, onto source pixel 10
+        img = np.random.default_rng(14).normal(size=(21, 21, 2)) * 40.0
+        cam = CameraModel([300.0, 300.0, 10.0, 10.0], np.eye(4), (21, 21))
+        warped, _ = standardize_intrinsics(img, cam, std)
+        assert bitwise_equal(warped, oracle_standardize_warp(img, cam, std))
+        assert np.array_equal(warped[keep], img[keep])
+        warped[keep] = 0.0
+        assert not warped.any()
+
+    @pytest.mark.parametrize("channels", [None, 3], ids=["grey", "rgb"])
+    @pytest.mark.parametrize("std, out, src", [
+        ((50.0, 50.0, 13.0, 4.0), np.s_[:14, 3:], np.s_[6:, :27]),
+        ((50.0, 50.0, 7.0, 16.0), np.s_[6:, :27], np.s_[:14, 3:]),
+        ((50.0, 50.0, 10.0, 10.0), np.s_[:, :], np.s_[:, :]),
+    ], ids=["top-right", "bottom-left", "whole"])
+    def test_rectangle_touching_the_border(self, channels, std, out, src):
+        # integer shifts of a (20, 30) image: src = index - c_std + 10
+        shape = (20, 30) if channels is None else (20, 30, channels)
+        img = np.random.default_rng(15).normal(size=shape) * 40.0
+        cam = CameraModel([50.0, 50.0, 10.0, 10.0], np.eye(4), (30, 20))
+        warped, _ = standardize_intrinsics(img, cam, std)
+        assert warped.shape == shape and bitwise_equal(warped, oracle_standardize_warp(img, cam, std))
+        assert np.array_equal(warped[out], img[src])
+        warped[out] = 0.0
+        assert not warped.any()
+
     @pytest.mark.parametrize("dtype", [np.uint8, float])
     def test_grey_image_rows_then_columns(self, dtype):
         rng = np.random.default_rng(12)

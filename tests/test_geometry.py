@@ -16,9 +16,9 @@ from mvbox3d.geometry import (
     Detection,
     box_corners,
     box_iou,
-    box_to_gaussian,
     corner_permutation_table,
     euler_to_rotation,
+    gaussian_sigma,
     intersection_volume,
     nms,
     nms_scenes,
@@ -28,7 +28,7 @@ from mvbox3d.geometry import (
     signed_permutations,
     transform_box,
 )
-from oracles import oracle_nms
+from oracles import oracle_box_to_gaussian, oracle_nms
 
 
 def random_boxes(rng, n, center_scale=2.0):
@@ -77,6 +77,37 @@ class TestBox9DoF:
         assert np.array_equal(again.center, box.center)
         assert np.array_equal(again.size, box.size)
         assert np.array_equal(again.euler, box.euler)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 1)], ids=["flat", "row", "column"])
+    def test_reshaped_fields_accepted_read_only(self, shape):
+        box = Box9DoF(*(np.reshape(v, shape) for v in ([1, 2, 3], [4, 5, 6], [0.1, 0.2, 0.3])))
+        assert box.to_params().tolist() == [1, 2, 3, 4, 5, 6, 0.1, 0.2, 0.3]
+        for v in (box.center, box.size, box.euler):
+            assert v.shape == (3,) and v.dtype == np.float64 and not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0] = 0.0
+
+    def test_mixed_field_shapes_accepted(self):
+        box = Box9DoF(np.array([[1, 2, 3]]), [4, 5, 6], np.array([[0.1], [0.2], [0.3]]))
+        assert box.to_params().tolist() == [1, 2, 3, 4, 5, 6, 0.1, 0.2, 0.3]
+
+    def test_fields_do_not_alias_the_inputs(self):
+        center = np.array([1.0, 2.0, 3.0])
+        box = Box9DoF(center, [1, 1, 1], [0, 0, 0])
+        center[0] = 9.0
+        assert box.center[0] == 1.0
+
+    @pytest.mark.parametrize("fields, message", [
+        (([0, 0, np.nan], [1, 1, 1], [0, 0, np.inf]), "center must be finite"),
+        (([0, 0, 0], [1, -1, np.nan], [0, 0, 0]), "size must be finite"),
+        (([0, 0], [1, 1, 1, 1], [0, 0, 0]), "center must have exactly 3 components"),
+        (([0, 0, 0], [1, 0, 1], [0, np.nan, 0]), "euler must be finite"),
+        (([0, 0, 0], [1, 0, 1], [0, 0]), "euler must have exactly 3 components"),
+    ], ids=["center-then-euler", "size-sign-and-nan", "center-then-size",
+            "euler-before-sign", "euler-shape-before-sign"])
+    def test_two_bad_fields_name_the_first(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            Box9DoF(*fields)
 
     def test_detection_score_range(self):
         box = Box9DoF([0, 0, 0], [1, 1, 1], [0, 0, 0])
@@ -249,31 +280,48 @@ class TestSignedPermutations:
             assert np.max(np.abs(formal - corners[table[g]])) < 1e-9
 
 
+def box_sigma(box):
+    return gaussian_sigma(box.size, box.rotation())
+
+
 class TestGaussianBox:
+    """``gaussian_sigma``, the Gaussian form that the wd loss uses."""
+
     def test_axis_aligned_diag(self):
-        g = box_to_gaussian(Box9DoF([0, 0, 0], [2, 3, 4], [0, 0, 0]))
-        assert np.allclose(g.sigma, np.diag([2.0, 3.0, 4.0]), atol=1e-12)
+        sigma = box_sigma(Box9DoF([0, 0, 0], [2, 3, 4], [0, 0, 0]))
+        assert np.allclose(sigma, np.diag([2.0, 3.0, 4.0]), atol=1e-12)
 
     def test_swap_symmetry(self):
-        a = box_to_gaussian(Box9DoF([1, 1, 1], [2, 3, 4], [0, 0, 0]))
-        b = box_to_gaussian(Box9DoF([1, 1, 1], [3, 2, 4], [0, 0, np.pi / 2]))
-        assert np.max(np.abs(a.sigma - b.sigma)) < 1e-9
+        a = box_sigma(Box9DoF([1, 1, 1], [2, 3, 4], [0, 0, 0]))
+        b = box_sigma(Box9DoF([1, 1, 1], [3, 2, 4], [0, 0, np.pi / 2]))
+        assert np.max(np.abs(a - b)) < 1e-9
 
     def test_eigenvalues_are_sizes(self):
         rng = np.random.default_rng(5)
         for box in random_boxes(rng, 20):
-            g = box_to_gaussian(box)
-            assert np.max(np.abs(g.sigma - g.sigma.T)) < 1e-12
-            eigvals = np.sort(np.linalg.eigvalsh(g.sigma))
+            sigma = box_sigma(box)
+            assert np.max(np.abs(sigma - sigma.T)) < 1e-12
+            eigvals = np.sort(np.linalg.eigvalsh(sigma))
             assert np.max(np.abs(eigvals - np.sort(box.size))) < 1e-9
 
     def test_invariant_under_all_reparameterizations(self):
         rng = np.random.default_rng(6)
         box = random_boxes(rng, 1)[0]
-        ref = box_to_gaussian(box).sigma
+        ref = box_sigma(box)
         for perm in signed_permutations():
-            other = box_to_gaussian(reparameterize_box(box, perm))
-            assert np.max(np.abs(other.sigma - ref)) < 1e-9
+            other = box_sigma(reparameterize_box(box, perm))
+            assert np.max(np.abs(other - ref)) < 1e-9
+
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(7)
+        boxes = random_boxes(rng, 20)
+        params = np.stack([box.to_params() for box in boxes])
+        batch = gaussian_sigma(params[:, 3:6], euler_to_rotation(params[:, 6:]))
+        for box, sigma in zip(boxes, batch):
+            mean, expected = oracle_box_to_gaussian(box)
+            assert np.array_equal(mean, box.center)
+            assert np.max(np.abs(sigma - expected)) < 1e-12
+            assert np.array_equal(sigma, box_sigma(box))
 
 
 class TestBoxIoU:

@@ -19,7 +19,12 @@ from mvbox3d.geometry import (
     rotation_to_euler,
     transform_box,
 )
-from oracles import oracle_hull_volume, oracle_intersection_volume, oracle_iou
+from oracles import (
+    oracle_hull_volume,
+    oracle_intersection_volume,
+    oracle_iou,
+    oracle_pair_vertices,
+)
 
 PROPERTIES = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -276,3 +281,118 @@ class TestProperties:
         assert self_matrix.tolist() == [[1.0, 0.0], [0.0, 0.0]]
         with pytest.warns(RuntimeWarning):
             assert box_iou(thin, thin) == 0.0
+
+
+# --- the pair-last vertex enumeration against the pair-first oracle ---------
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """Two boxes at least 0.5 across whose centers are less than 0.25 apart:
+    each contains the other's center."""
+    def box(center):
+        return Box9DoF(center, [draw(st.floats(0.5, 2.0)) for _ in range(3)],
+                       [draw(angles) for _ in range(3)])
+    a = box([draw(coords) for _ in range(3)])
+    return a, box(a.center + [draw(st.floats(-0.14, 0.14)) for _ in range(3)])
+
+
+def aligned(a, offset, size):
+    """A box with a's orientation whose center is ``offset`` in a's frame."""
+    return Box9DoF(a.center + euler_to_rotation(a.euler) @ np.asarray(offset), size, a.euler)
+
+
+@st.composite
+def face_sharing_pairs(draw):
+    """A box and a second one of its orientation flush against one of its faces."""
+    a = draw(boxes())
+    axis = draw(st.integers(0, 2))
+    size = [draw(extents) for _ in range(3)]
+    offset = [draw(st.floats(-0.3, 0.3)) for _ in range(3)]
+    offset[axis] = draw(st.sampled_from([-0.5, 0.5])) * (a.size[axis] + size[axis])
+    return a, aligned(a, offset, size)
+
+
+@st.composite
+def nested_pairs(draw):
+    """A box and a smaller one of its orientation inside it, in either order."""
+    outer = draw(boxes())
+    size = draw(st.floats(0.1, 0.9)) * outer.size
+    offset = [draw(st.floats(-1.0, 1.0)) * 0.5 * gap for gap in outer.size - size]
+    pair = outer, aligned(outer, offset, size)
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@st.composite
+def coplanar_pairs(draw):
+    """Two boxes of one orientation and one extent along an axis, shifted across it."""
+    a = draw(boxes())
+    axis = draw(st.integers(0, 2))
+    size = [draw(extents) for _ in range(3)]
+    size[axis] = a.size[axis]
+    offset = [draw(st.floats(-0.5, 0.5)) * extent for extent in a.size]
+    offset[axis] = 0.0
+    return a, aligned(a, offset, size)
+
+
+@st.composite
+def near_parallel_pairs(draw):
+    """Two overlapping boxes whose Euler angles differ by at most 1e-13."""
+    a, b = draw(overlapping_pairs())
+    tilt = [draw(st.floats(-1e-13, 1e-13)) for _ in range(3)]
+    return a, Box9DoF(b.center, b.size, a.euler + tilt)
+
+
+PAIR_KINDS = {"overlapping": overlapping_pairs(), "face_sharing": face_sharing_pairs(),
+              "nested": nested_pairs(), "coplanar": coplanar_pairs(),
+              "near_parallel": near_parallel_pairs()}
+FAR = (UNIT, Box9DoF([5, 0, 0], [1, 1, 1], [0, 0, 0]))  # the spheres reject it
+# the spheres keep it, the separating axes reject it
+SLANTED = (UNIT, Box9DoF([1.2, 1.2, 0], [1, 1, 1], [0, 0, np.pi / 4]))
+
+
+def same_bytes(x, y):
+    return (x.shape == y.shape and x.dtype == y.dtype
+            and np.ascontiguousarray(x).tobytes() == y.tobytes())
+
+
+def assert_vertices_match_oracle(pairs):
+    """Kept indices, t, rel, half extents, points and mask all byte-equal."""
+    pa = np.array([a.to_params() for a, _ in pairs]).reshape(-1, 9)
+    pb = np.array([b.to_params() for _, b in pairs]).reshape(-1, 9)
+    got, expected = _pair_vertices(pa, pb), oracle_pair_vertices(pa, pb)
+    assert same_bytes(got[0], expected[0])
+    if len(expected[0]) == 0:
+        assert all(x is None for x in got[1:])
+    else:
+        assert all(same_bytes(x, y) for x, y in zip(got[1:], expected[1:]))
+    return expected
+
+
+class TestPairLastOracle:
+    @pytest.mark.parametrize("kind", sorted(PAIR_KINDS))
+    @PROPERTIES
+    @given(data=st.data())
+    def test_batch_matches_pair_first_oracle(self, kind, data):
+        drawn = data.draw(st.lists(PAIR_KINDS[kind], min_size=1, max_size=6))
+        live, _, rel, *_ = assert_vertices_match_oracle(
+            data.draw(st.permutations(drawn + [FAR, SLANTED])))
+        if kind in ("overlapping", "nested", "near_parallel"):
+            assert len(live) == len(drawn)
+        if kind == "near_parallel":
+            assert np.max(np.abs(rel - np.eye(3))) <= 1e-12
+
+    @PROPERTIES
+    @given(st.one_of(*PAIR_KINDS.values()))
+    def test_one_live_pair(self, pair):
+        live = assert_vertices_match_oracle([FAR, pair, SLANTED])[0]
+        assert len(live) <= 1
+
+    @pytest.mark.parametrize("pairs", [[FAR], [SLANTED], [FAR, SLANTED, FAR], []],
+                             ids=["far", "slanted", "mixed", "empty"])
+    def test_no_live_pair(self, pairs):
+        assert len(assert_vertices_match_oracle(pairs)[0]) == 0
+
+    def test_fixed_pairs(self):
+        live = assert_vertices_match_oracle(list(FIXED_PAIRS.values()))[0]
+        assert len(live) > len(FIXED_PAIRS) // 2
