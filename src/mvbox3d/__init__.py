@@ -13,8 +13,6 @@ from .aggregation import (
     Query,
     aggregate,
     aggregation_weights,
-    bilinear_sample,
-    fixed_keypoint_offsets,
     generate_anchors,
     keypoints_world,
     learnable_keypoint_offsets,
@@ -22,10 +20,8 @@ from .aggregation import (
 from .camera import (
     DEFAULT_STD_INTRINSICS,
     CameraModel,
-    FrustumPointGrid,
     PixelDepth,
     SingularProjectionError,
-    frustum_point_grid,
     in_frustum,
     project,
     project_points,
@@ -38,10 +34,8 @@ from .enhancer import (
     LinearParams,
     depth_distribution,
     fuse_features,
-    image_position_embedding,
     init_linear,
     ipe_correlation_map,
-    point_position_embedding,
 )
 from .evaluation import (
     GroundTruthSet,

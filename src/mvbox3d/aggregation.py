@@ -68,11 +68,6 @@ class AggregationParams:
     max_depth: float = math.inf
 
 
-def fixed_keypoint_offsets() -> np.ndarray:
-    """The 7 fixed offsets: stereo center then the six face centers."""
-    return FIXED_KEYPOINT_OFFSETS.copy()
-
-
 def learnable_keypoint_offsets(query_feature, params: LinearParams) -> np.ndarray:
     """Regress 9 offsets from the query feature, shape (9, 3), unclamped."""
     feature = np.asarray(query_feature, dtype=float).reshape(-1)
@@ -88,20 +83,6 @@ def keypoints_world(box: Box9DoF, offsets) -> np.ndarray:
     off = np.asarray(offsets, dtype=float).reshape(-1, 3)
     rot = euler_to_rotation(box.euler)
     return box.center + (off * box.size) @ rot.T
-
-
-def bilinear_sample(fm: FeatureMap, pixel) -> np.ndarray:
-    """Bilinear interpolation at a feature-grid coordinate (u, v).
-
-    ``pixel`` is in feature-grid units (image pixel / stride) and must lie in
-    [0, W-1] x [0, H-1]; callers mask validity before sampling. A one-point
-    view of ``camera.bilinear_warp``.
-    """
-    u, v = float(pixel[0]), float(pixel[1])
-    height, width = fm.grid.shape[:2]
-    if not (0.0 <= u <= width - 1 and 0.0 <= v <= height - 1):
-        raise ValueError(f"sample ({u}, {v}) outside feature grid {width}x{height}")
-    return bilinear_warp(fm.grid, np.array([u]), np.array([v]))[0]
 
 
 def camera_descriptor(cam: CameraModel) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Pinhole camera model: projection, unprojection, frustum tests, frustum
-point grids for position encoding, and camera intrinsic standardization.
+"""Pinhole camera model: projection, unprojection, frustum tests, the
+frustum rays and depth ladder of position encoding, and camera intrinsic
+standardization.
 
 A camera is intrinsics (fu, fv, cu, cv), a rigid camera-to-world extrinsic
 matrix, and an image size. Pixel coordinates are continuous with integer
@@ -60,23 +61,6 @@ class PixelDepth:
     u: float
     v: float
     depth: float
-
-
-@dataclass(frozen=True)
-class FrustumPointGrid:
-    """World-frame sample points of a camera frustum.
-
-    points[i, j, k] unprojects pixel (pixel_u[j], pixel_v[i]) at depths[k];
-    depths are k * max_depth / num_depths with the k = 0 sample shifted to
-    the first mid-bin to avoid the singular zero-depth plane.
-    """
-
-    dims: tuple[int, int, int]  # (h, w, K)
-    points: np.ndarray  # (h, w, K, 3)
-    pixel_u: np.ndarray  # (w,)
-    pixel_v: np.ndarray  # (h,)
-    depths: np.ndarray  # (K,)
-    max_depth: float
 
 
 class SingularProjectionError(ValueError):
@@ -144,9 +128,18 @@ def in_frustum(cam: CameraModel, world, max_depth: float) -> bool:
     )
 
 
-def _frustum_rays(cam: CameraModel, grid_hw: tuple[int, int], max_depth: float, num_depths: int):
-    """Cell centers us (w,), vs (h,), their camera-frame rays ((u - cu) / fu,
-    (v - cv) / fv, 1) (h, w, 3) and the depth ladder (K,) of a frustum grid."""
+def frustum_rays(cam: CameraModel, grid_hw: tuple[int, int], max_depth: float, num_depths: int):
+    """The sampled view frustum: cell centers us (w,) and vs (h,), their
+    camera-frame rays r = ((u - cu) / fu, (v - cv) / fv, 1) (h, w, 3) and the
+    depth ladder (K,).
+
+    Pixels are the h x w cell centers of the image; depths are the uniform
+    ladder k * max_depth / num_depths, k = 0 .. num_depths-1, except that the
+    unprojectable k = 0 plane is replaced by the mid-bin max_depth / (2 K).
+    The frustum point of cell (i, j) at depth d_k is t + d_k R r, so a
+    depth-weighted mean point needs only the mean depth, not the (h, w, K, 3)
+    grid of points.
+    """
     if num_depths < 1:
         raise ValueError("num_depths must be >= 1")
     if not max_depth > 0:
@@ -162,21 +155,6 @@ def _frustum_rays(cam: CameraModel, grid_hw: tuple[int, int], max_depth: float, 
     rays[..., 0] = (us - cu) / fu
     rays[..., 1] = ((vs - cv) / fv)[:, None]
     return us, vs, rays, depths
-
-
-def frustum_point_grid(cam: CameraModel, grid_hw: tuple[int, int], max_depth: float,
-                       num_depths: int) -> FrustumPointGrid:
-    """Uniform world-frame samples of the view frustum.
-
-    Pixels are the h x w cell centers of the image; depths are the uniform
-    ladder k * max_depth / num_depths, k = 0 .. num_depths-1, except that the
-    unprojectable k = 0 plane is replaced by the mid-bin max_depth / (2 K).
-    Every sample is t + d_k R r for its pixel's camera-frame ray r, so the
-    depth-weighted mean point needs only the mean depth, not this grid.
-    """
-    us, vs, rays, depths = _frustum_rays(cam, grid_hw, max_depth, num_depths)
-    points = rays[:, :, None] * depths[:, None] @ cam.extrinsics[:3, :3].T + cam.extrinsics[:3, 3]
-    return FrustumPointGrid((*grid_hw, num_depths), points, us, vs, depths, float(max_depth))
 
 
 # ---------------------------------------------------------------------------

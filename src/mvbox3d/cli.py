@@ -112,10 +112,6 @@ def _cmd_eval(args) -> int:
 def _cmd_pe_heatmap(args) -> int:
     config = _load_config(args.config)
     scene = harness.gen_scene(config, args.seed)
-    if args.view >= len(scene.cameras):
-        raise ValueError(
-            f"view {args.view} out of range: scene has {len(scene.cameras)} cameras"
-        )
     ref = None
     if args.ref:
         parts = args.ref.split(",")

@@ -1,21 +1,22 @@
 """3D position encoding of image features.
 
-Turns a camera's frustum point grid into point position embeddings, predicts
-a per-pixel depth distribution from image and depth features, collapses the
-point embeddings into a single image position embedding per pixel, and fuses
-everything back into the image feature map. All maps here are affine, taking
-the defining equations literally.
+Predicts a per-pixel depth distribution from image and depth features,
+embeds 3D points with an affine map, fuses the image position embedding back
+into the image feature map, and correlates embeddings for the heatmap.
 
-Because the point embedding is affine, PPE(p) = W p + b, and each pixel's
-depth distribution D sums to 1, the collapse needs no (h, w, K, C) array:
+The paper's image position embedding is the depth-weighted sum of the point
+embeddings of a pixel's frustum points, IPE = sum_k D_k PPE(p_k). Because the
+point embedding is affine, PPE(p) = W p + b, and each pixel's depth
+distribution D sums to 1, it needs no (h, w, K, C) array:
 
     IPE = sum_k D_k (W p_k + b) = W (sum_k D_k p_k) + b = PPE(E[p]),
 
-the embedding of the expected frustum point ``expected_frustum_points``. The
-identity holds for any affine embedding and any normalized distribution (as
+the embedding of the expected frustum point. With p_k = t + d_k R r on the
+pixel's ray (``camera.frustum_rays``), E[p] = t + E[d] R r. The identity holds
+for any affine embedding and any normalized distribution (as
 ``depth_distribution`` returns), up to rounding; it does not hold for a
-nonlinear embedding. ``point_position_embedding`` and
-``image_position_embedding`` keep the literal two-step definition.
+nonlinear embedding. The literal two-step definition is kept only as a
+test oracle, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .camera import FrustumPointGrid
 
 
 @dataclass(frozen=True)
@@ -98,13 +97,6 @@ class FeatureMap:
         return self.grid.shape
 
 
-def point_position_embedding(grid: FrustumPointGrid, params: LinearParams) -> np.ndarray:
-    """Embed every frustum sample point, giving an (h, w, K, C) array."""
-    if params.in_dim != 3:
-        raise ValueError(f"{params.role}: point embedding expects 3 inputs, got {params.in_dim}")
-    return params.apply(grid.points)
-
-
 def depth_distribution(img: FeatureMap, dep: FeatureMap, fuse: LinearParams,
                        head: LinearParams) -> np.ndarray:
     """Per-pixel depth distribution: softmax(head(fuse(concat(I, D)))) over K bins.
@@ -120,19 +112,6 @@ def depth_distribution(img: FeatureMap, dep: FeatureMap, fuse: LinearParams,
     logits = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(logits)
     return weights / weights.sum(axis=-1, keepdims=True)
-
-
-def image_position_embedding(ppe: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Collapse (H, W, K, C) point embeddings with (H, W, K) depth weights.
-
-    For an affine point embedding and normalized weights this equals the
-    embedding of ``expected_frustum_points`` (see the module docstring).
-    """
-    ppe = np.asarray(ppe, dtype=float)
-    dt = np.asarray(dt, dtype=float)
-    if ppe.shape[:3] != dt.shape:
-        raise ValueError(f"shape mismatch: PPE {ppe.shape[:3]} vs DT {dt.shape}")
-    return np.einsum("hwkc,hwk->hwc", ppe, dt)
 
 
 def fuse_features(img: FeatureMap, dep: FeatureMap, ipe: np.ndarray,
@@ -162,11 +141,3 @@ def ipe_correlation_map(ipe: np.ndarray, ref: tuple[int, int]) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = np.where(norms > 0, dots / (norms * ref_norm), 0.0)
     return np.clip(sims, -1.0, 1.0)
-
-
-def expected_frustum_points(grid: FrustumPointGrid, dt: np.ndarray) -> np.ndarray:
-    """Depth-distribution-weighted mean 3D point per pixel, (h, w, 3)."""
-    dt = np.asarray(dt, dtype=float)
-    if grid.points.shape[:3] != dt.shape:
-        raise ValueError("depth distribution does not match the frustum grid")
-    return np.einsum("hwkc,hwk->hwc", grid.points, dt)

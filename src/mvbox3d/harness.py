@@ -18,10 +18,10 @@ from .aggregation import NUM_KEYPOINTS, NUM_LEARNABLE_KEYPOINTS, AggregationPara
 from .camera import (
     DEFAULT_STD_INTRINSICS,
     CameraModel,
-    _frustum_rays,
     _json_int,
     camera_from_dict,
     camera_to_dict,
+    frustum_rays,
     in_frustum,
     project_points,
 )
@@ -485,18 +485,27 @@ def pe_heatmap(scene: SceneSample, config: RunConfig, view: int = 0,
                ref: tuple[int, int] | None = None) -> HeatmapResult:
     """Cosine-similarity map of image position embeddings for one view.
 
-    Builds the position-encoding path with seeded parameters (frustum grid,
+    Builds the position-encoding path with seeded parameters (frustum rays,
     depth distribution from the view's rendered image/depth features, image
     position embeddings), then correlates every cell's embedding with the
     reference cell's. Only the requested view is rendered. The image
     position embedding is the embedding of the expected frustum point (see
     ``mvbox3d.enhancer``), t + E[d] R r on the cell's ray r, as every sample
     is t + d_k R r: no (h, w, K, 3) grid and no (h, w, K, C) embeddings.
+    ``view`` and ``ref`` must index a camera and a cell; the default
+    reference is the center cell.
     """
+    cameras = len(scene.cameras)
+    if not 0 <= view < cameras:
+        raise ValueError(f"--view {view} out of range: scene has {cameras} cameras, "
+                         f"0 to {cameras - 1}")
     img_fm, dep_fm, _ = _render_view(scene, view, _instance_signatures(scene, config), config)
     h, w = img_fm.grid.shape[:2]
     if ref is None:
         ref = (h // 2, w // 2)
+    if not (0 <= ref[0] < h and 0 <= ref[1] < w):
+        raise ValueError(f"--ref {ref[0]},{ref[1]} out of range: the grid has {h}x{w} cells, "
+                         f"i from 0 to {h - 1} and j from 0 to {w - 1}")
     point_embed = init_linear("point_embed", 3, config.embed_dim, [config.seed, 101])
     fuse = init_linear(
         "depth_fuse",
@@ -507,7 +516,7 @@ def pe_heatmap(scene: SceneSample, config: RunConfig, view: int = 0,
     head = init_linear("depth_head", config.embed_dim, config.num_depth_points,
                        [config.seed, 103])
     cam = scene.cameras[view]
-    _, _, rays, depths = _frustum_rays(cam, (h, w), config.max_depth, config.num_depth_points)
+    _, _, rays, depths = frustum_rays(cam, (h, w), config.max_depth, config.num_depth_points)
     mean_depth = depth_distribution(img_fm, dep_fm, fuse, head) @ depths
     expected = mean_depth[..., None] * (rays @ cam.extrinsics[:3, :3].T) + cam.extrinsics[:3, 3]
     similarity = ipe_correlation_map(point_embed.apply(expected), ref)

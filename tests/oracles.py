@@ -21,6 +21,11 @@
 * ``oracle_bilinear_warp`` / ``oracle_standardize_warp``: bilinear sampling
   from a float64 copy of the image at full-size coordinate arrays, and the
   intrinsic standardization warp built on full (H, W) index meshgrids.
+* ``oracle_frustum_point_grid``, ``oracle_point_position_embedding``,
+  ``oracle_image_position_embedding`` and ``oracle_expected_frustum_points``:
+  the literal position encoding, which embeds every frustum point
+  t + d_k R r of a (h, w, K, 3) grid and collapses the (h, w, K, C)
+  embeddings with the depth weights, IPE = sum_k D_k PPE(p_k).
 * ``oracle_aggregate``: deformable aggregation that samples one key point of
   one view at a time (``oracle_bilinear_sample``) and adds it to the query's
   update in a Python double loop.
@@ -44,6 +49,7 @@
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -56,7 +62,7 @@ from mvbox3d.aggregation import (
     keypoints_world,
     learnable_keypoint_offsets,
 )
-from mvbox3d.camera import project_points
+from mvbox3d.camera import frustum_rays, project_points
 from mvbox3d.geometry import (
     _EDGES,
     _PLANE_EPS,
@@ -330,6 +336,44 @@ def oracle_standardize_warp(image, cam, std_intrinsics):
     src_u = fu_s * (jj - cu_t) / fu_t + cu_s
     src_v = fv_s * (ii - cv_t) / fv_t + cv_s
     return oracle_bilinear_warp(img, src_u, src_v)
+
+
+@dataclass(frozen=True)
+class FrustumPointGrid:
+    """World-frame sample points of a camera frustum: points[i, j, k] lies on
+    the ray of pixel (pixel_u[j], pixel_v[i]) at camera-frame depth depths[k]."""
+
+    points: np.ndarray  # (h, w, K, 3)
+    pixel_u: np.ndarray  # (w,)
+    pixel_v: np.ndarray  # (h,)
+    depths: np.ndarray  # (K,)
+
+
+def oracle_frustum_point_grid(cam, grid_hw, max_depth, num_depths):
+    """Every frustum point t + d_k R r of ``camera.frustum_rays`` in one grid."""
+    us, vs, rays, depths = frustum_rays(cam, grid_hw, max_depth, num_depths)
+    points = rays[:, :, None] * depths[:, None] @ cam.extrinsics[:3, :3].T + cam.extrinsics[:3, 3]
+    return FrustumPointGrid(points, us, vs, depths)
+
+
+def oracle_point_position_embedding(grid, params):
+    """PPE(p) of every frustum point, an (h, w, K, C) array."""
+    return params.apply(grid.points)
+
+
+def oracle_image_position_embedding(ppe, dt):
+    """IPE = sum_k D_k PPE(p_k): (h, w, K, C) point embeddings collapsed with
+    (h, w, K) depth weights."""
+    ppe = np.asarray(ppe, dtype=float)
+    dt = np.asarray(dt, dtype=float)
+    if ppe.shape[:3] != dt.shape:
+        raise ValueError(f"shape mismatch: PPE {ppe.shape[:3]} vs DT {dt.shape}")
+    return np.einsum("hwkc,hwk->hwc", ppe, dt)
+
+
+def oracle_expected_frustum_points(grid, dt):
+    """E[p] = sum_k D_k p_k, the depth-weighted mean frustum point, (h, w, 3)."""
+    return np.einsum("hwkc,hwk->hwc", grid.points, np.asarray(dt, dtype=float))
 
 
 def oracle_bilinear_sample(grid, u, v):

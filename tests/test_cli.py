@@ -457,6 +457,15 @@ class TestHeatmapCli:
                     "--out-prefix", str(tmp_path / "x")])
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--ref=100,100", "--ref=-1,-1", "--view=-1"])
+    def test_out_of_range_view_or_ref(self, tmp_path, capsys, flag):
+        code = run(["pe-heatmap", "--seed", "2", flag, "--out-prefix", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag.replace('=', ' ')} out of range: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestAggregateDemoCli:
     def test_csv_output(self, tmp_path, capsys):
@@ -761,9 +770,42 @@ GOLDEN_EVALS = {
 }
 
 
+def write_fits(root, seed):
+    """The trace CSV and SVG of ``fit`` with every box loss on one seed."""
+    for loss in ("l1", "ccd", "pcd", "wd"):
+        assert run(["fit", "--loss", loss, "--seed", str(seed), "--out", str(root / f"{loss}.csv"),
+                    "--svg", str(root / f"{loss}.svg")]) == 0
+
+
+# Digests of the fit outputs of seed 1 (one box) and seed 4 (nine boxes)
+# with the default config.
+GOLDEN_FITS = {
+    1: {
+        'ccd.csv': 'ed0b3fb250c503c6',
+        'ccd.svg': '6699d482bbc7029d',
+        'l1.csv': '41f344308a130f4b',
+        'l1.svg': 'af6e8dad33901f40',
+        'pcd.csv': '208a0a9410ad438c',
+        'pcd.svg': '3df68b6c2160235e',
+        'wd.csv': 'ffa3d1ddaef426f1',
+        'wd.svg': '89cc444a2dabc660',
+    },
+    4: {
+        'ccd.csv': '276fd36d82ebbc94',
+        'ccd.svg': '43fd6eb6275d36e3',
+        'l1.csv': 'ecb6a67caf907be4',
+        'l1.svg': '75d50ad2714240b8',
+        'pcd.csv': '53b26e887ec9fb1e',
+        'pcd.svg': '4b55554f3ef2a27c',
+        'wd.csv': 'fcbd39cd71e00259',
+        'wd.svg': '2046a187ffad3a82',
+    },
+}
+
+
 class TestGoldenBytes:
-    """Every file of the perceive chain, of ``standardize`` and of ``eval`` is
-    byte-stable."""
+    """Every file of the perceive chain, of ``standardize``, of ``eval`` and of
+    ``fit`` is byte-stable."""
 
     @pytest.mark.parametrize("seed", sorted(GOLDEN_EVALS))
     def test_eval_reports(self, tmp_path, capsys, seed):
@@ -771,6 +813,11 @@ class TestGoldenBytes:
         root.mkdir()
         write_eval_set(root, seed)
         assert file_digests(root) == GOLDEN_EVALS[seed]
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_FITS))
+    def test_fit_traces(self, tmp_path, capsys, seed):
+        write_fits(tmp_path, seed)
+        assert file_digests(tmp_path) == GOLDEN_FITS[seed]
 
     @pytest.mark.parametrize("name, seed", sorted(GOLDEN_SCENES))
     def test_scene_chain(self, tmp_path, capsys, name, seed):

