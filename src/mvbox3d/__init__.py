@@ -14,7 +14,6 @@ from .aggregation import (
     aggregate,
     aggregation_weights,
     generate_anchors,
-    keypoints_world,
     learnable_keypoint_offsets,
 )
 from .camera import (

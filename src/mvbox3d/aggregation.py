@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraModel, bilinear_warp, project_points
+from .camera import CameraModel, bilinear_warp, frustum_mask, project_points
 from .enhancer import FeatureMap, LinearParams
-from .geometry import Box9DoF, euler_to_rotation
+from .geometry import Box9DoF, box_corners
 
 # Stereo center plus the six face centers, in normalized box coordinates.
 FIXED_KEYPOINT_OFFSETS = np.array(
@@ -69,20 +69,13 @@ class AggregationParams:
 
 
 def learnable_keypoint_offsets(query_feature, params: LinearParams) -> np.ndarray:
-    """Regress 9 offsets from the query feature, shape (9, 3), unclamped."""
-    feature = np.asarray(query_feature, dtype=float).reshape(-1)
+    """Regress 9 offsets from query features (..., C), shape (..., 9, 3), unclamped."""
+    feature = np.asarray(query_feature, dtype=float)
     if params.out_dim != 3 * NUM_LEARNABLE_KEYPOINTS:
         raise ValueError(
             f"{params.role}: offset head must emit {3 * NUM_LEARNABLE_KEYPOINTS} values"
         )
-    return params.apply(feature).reshape(NUM_LEARNABLE_KEYPOINTS, 3)
-
-
-def keypoints_world(box: Box9DoF, offsets) -> np.ndarray:
-    """World positions center + R (offset * size) for each normalized offset."""
-    off = np.asarray(offsets, dtype=float).reshape(-1, 3)
-    rot = euler_to_rotation(box.euler)
-    return box.center + (off * box.size) @ rot.T
+    return params.apply(feature).reshape(feature.shape[:-1] + (NUM_LEARNABLE_KEYPOINTS, 3))
 
 
 def camera_descriptor(cam: CameraModel) -> np.ndarray:
@@ -90,9 +83,29 @@ def camera_descriptor(cam: CameraModel) -> np.ndarray:
     return np.concatenate([cam.intrinsics, cam.extrinsics[:3, :].ravel()])
 
 
+def _masked_softmax(features, anchors, cams, valid, params: LinearParams):
+    """Weights (n, M, N) and all-invalid flags (n,) of n queries with features
+    (n, C), anchor parameters (n, 9) and validity (n, M, N); see
+    ``aggregation_weights``."""
+    n, m, n_views = valid.shape
+    views = np.concatenate([camera_descriptor(c) for c in cams])
+    desc = np.hstack([features, anchors, np.broadcast_to(views, (n, views.size))])
+    if params.in_dim != desc.shape[1]:
+        raise ValueError(f"{params.role}: expected input dim {desc.shape[1]}, got {params.in_dim}")
+    if params.out_dim != m * n_views:
+        raise ValueError(f"{params.role}: expected output dim {m * n_views}, got {params.out_dim}")
+    logits = params.apply(desc).reshape(n, m, n_views)
+    peak = np.max(logits, axis=(1, 2), keepdims=True, where=valid, initial=-np.inf)
+    weights = np.exp(logits - peak, where=valid, out=np.zeros_like(logits))
+    some_valid = valid.any(axis=(1, 2))
+    np.divide(weights, weights.sum(axis=(1, 2), keepdims=True), out=weights,
+              where=some_valid[:, None, None])
+    return weights, ~some_valid
+
+
 def aggregation_weights(query: Query, cams: list[CameraModel], validity,
                         params: LinearParams) -> AggregationWeights:
-    """Masked softmax weights over all (key point, view) pairs.
+    """Masked softmax weights over all (key point, view) pairs of one query.
 
     Logits come from an affine map over concat(query feature, box parameters,
     per-view camera descriptors). The softmax runs jointly over the M x N
@@ -102,46 +115,25 @@ def aggregation_weights(query: Query, cams: list[CameraModel], validity,
     valid = np.asarray(validity, dtype=bool)
     if valid.ndim != 2 or valid.shape[1] != len(cams):
         raise ValueError("validity must be (M, N) with one column per camera")
-    m, n = valid.shape
-    desc = np.concatenate(
-        [query.feature, query.anchor.to_params()] + [camera_descriptor(c) for c in cams]
-    )
-    if params.in_dim != desc.size:
-        raise ValueError(f"{params.role}: expected input dim {desc.size}, got {params.in_dim}")
-    if params.out_dim != m * n:
-        raise ValueError(f"{params.role}: expected output dim {m * n}, got {params.out_dim}")
-    logits = params.apply(desc).reshape(m, n)
-    if not valid.any():
-        return AggregationWeights(np.zeros((m, n)), True)
-    shifted = logits - logits[valid].max()
-    weights = np.where(valid, np.exp(shifted), 0.0)
-    weights /= weights.sum()
-    return AggregationWeights(weights, False)
+    weights, all_invalid = _masked_softmax(
+        query.feature[None], query.anchor.to_params()[None], cams, valid[None], params)
+    return AggregationWeights(weights[0], bool(all_invalid[0]))
 
 
 def keypoint_validity(cam: CameraModel, fm: FeatureMap, points,
                       max_depth: float = math.inf):
     """Per-point validity and feature-grid coordinates for one view.
 
-    A point is valid when its depth is in (0, max_depth], its pixel lies in
-    the image, and the corresponding feature-grid coordinate is inside the
-    sampling footprint of the map.
+    A point is valid when it passes ``frustum_mask`` (depth in
+    (0, max_depth], pixel in the image) and the corresponding feature-grid
+    coordinate is inside the sampling footprint of the map.
     """
     u, v, d = project_points(cam, points)
-    width, height = cam.image_size
+    valid = frustum_mask(cam, u, v, d, max_depth)
     fh, fw = fm.grid.shape[:2]
-    with np.errstate(invalid="ignore"):
-        valid = (
-            (d > 0)
-            & (d <= max_depth)
-            & (u >= 0.0)
-            & (u <= width - 1)
-            & (v >= 0.0)
-            & (v <= height - 1)
-        )
     fu = u / fm.stride
     fv = v / fm.stride
-    valid &= np.where(np.isfinite(fu), (fu <= fw - 1) & (fv <= fh - 1), False)
+    valid &= (fu <= fw - 1) & (fv <= fh - 1)
     return valid, fu, fv
 
 
@@ -149,10 +141,11 @@ def aggregate(queries: list[Query], feature_maps: list[FeatureMap],
               cams: list[CameraModel], params: AggregationParams):
     """Updated feature per query: the masked-weighted sum of sampled features.
 
-    The key points of all queries are projected into each view together, and
-    the valid (query, key point) pairs of a view are sampled in one
-    ``bilinear_warp`` call. A query's update adds its weighted samples key
-    point by key point, view by view.
+    One pass over all queries: one offset regression, one key-point map and
+    one weight-logit matmul for the whole batch, and a masked softmax over
+    (query, key point, view) arrays. The key points of all queries are
+    projected into each view together, and the valid ones of a view are
+    sampled in one ``bilinear_warp`` call.
 
     Returns:
         (features, all_invalid_flags): an (n_queries, C) array and a boolean
@@ -162,33 +155,25 @@ def aggregate(queries: list[Query], feature_maps: list[FeatureMap],
     if len(feature_maps) != len(cams):
         raise ValueError("need one feature map per camera")
     n_queries, n_views = len(queries), len(cams)
-    m = NUM_KEYPOINTS
-    points = np.reshape([
-        keypoints_world(
-            query.anchor,
-            np.concatenate(
-                [FIXED_KEYPOINT_OFFSETS,
-                 learnable_keypoint_offsets(query.feature, params.offset_params)]
-            ),
-        )
-        for query in queries
-    ], (-1, 3))
     channels = feature_maps[0].grid.shape[2] if feature_maps else 0
-    valid = np.zeros((n_queries * m, n_views), dtype=bool)
-    samples = np.zeros((n_queries * m, n_views, channels))
+    if n_queries == 0:
+        return np.zeros((0, channels)), []
+    features = np.stack([query.feature for query in queries])
+    anchors = np.stack([query.anchor.to_params() for query in queries])
+    offsets = np.concatenate(
+        [np.broadcast_to(FIXED_KEYPOINT_OFFSETS, (n_queries,) + FIXED_KEYPOINT_OFFSETS.shape),
+         learnable_keypoint_offsets(features, params.offset_params)], axis=1)
+    points = box_corners(anchors, offsets).reshape(-1, 3)
+    valid = np.zeros((n_queries * NUM_KEYPOINTS, n_views), dtype=bool)
+    samples = np.zeros((n_queries * NUM_KEYPOINTS, n_views, channels))
     for n in range(n_views):
         ok, fu, fv = keypoint_validity(cams[n], feature_maps[n], points, params.max_depth)
         valid[:, n] = ok
         samples[ok, n] = bilinear_warp(feature_maps[n].grid, fu[ok], fv[ok])
-    valid = valid.reshape(n_queries, m, n_views)
-    samples = samples.reshape(n_queries, m, n_views, channels)
-    out = []
-    flags = []
-    for query, mask, sampled in zip(queries, valid, samples):
-        w = aggregation_weights(query, cams, mask, params.weight_params)
-        out.append((w.weights[mask][:, None] * sampled[mask]).sum(axis=0))
-        flags.append(w.all_invalid)
-    return np.asarray(out), flags
+    valid = valid.reshape(n_queries, NUM_KEYPOINTS, n_views)
+    samples = samples.reshape(n_queries, NUM_KEYPOINTS, n_views, channels)
+    weights, all_invalid = _masked_softmax(features, anchors, cams, valid, params.weight_params)
+    return (weights[..., None] * samples).sum(axis=(1, 2)), all_invalid.tolist()
 
 
 # ---------------------------------------------------------------------------

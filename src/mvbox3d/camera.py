@@ -79,53 +79,53 @@ def unproject(cam: CameraModel, pd: PixelDepth) -> np.ndarray:
 
 
 def project(cam: CameraModel, world) -> PixelDepth:
-    """Pixel coordinates and depth of a world point; inverse of unproject."""
+    """Pixel coordinates and depth of one world point, the one-point view of
+    ``project_points``; inverse of unproject. A point behind the camera gets
+    NaN u and v."""
     p = np.asarray(world, dtype=float).reshape(3)
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("world point must be finite")
-    rot = cam.extrinsics[:3, :3]
-    t = cam.extrinsics[:3, 3]
-    cam_pt = rot.T @ (p - t)
-    d = cam_pt[2]
+    (u,), (v,), (d,) = project_points(cam, p)
     if d == 0.0:
         raise SingularProjectionError("point lies on the camera plane (depth 0)")
-    fu, fv, cu, cv = cam.intrinsics
-    return PixelDepth(float(fu * cam_pt[0] / d + cu), float(fv * cam_pt[1] / d + cv), float(d))
+    return PixelDepth(float(u), float(v), float(d))
 
 
 def project_points(cam: CameraModel, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized projection: (u, v, depth) arrays for an (N, 3) point array.
+    """Pixel coordinates and depth (u, v, depth) of an (N, 3) point array; the
+    package's one projection.
 
     Entries with depth <= 0 get NaN pixel coordinates; callers are expected
     to mask on depth before using them.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    rot = cam.extrinsics[:3, :3]
-    t = cam.extrinsics[:3, 3]
-    cam_pts = (pts - t) @ rot
-    d = cam_pts[:, 2]
-    fu, fv, cu, cv = cam.intrinsics
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(d > 0, fu * cam_pts[:, 0] / d + cu, np.nan)
-        v = np.where(d > 0, fv * cam_pts[:, 1] / d + cv, np.nan)
-    return u, v, d
+    cam_pts = (pts - cam.extrinsics[:3, 3]) @ cam.extrinsics[:3, :3]
+    d = cam_pts[:, 2:]
+    uv = np.divide(cam.intrinsics[:2] * cam_pts[:, :2], d, out=np.full((len(d), 2), np.nan),
+                   where=d > 0)
+    uv += cam.intrinsics[2:]
+    return uv[:, 0], uv[:, 1], d[:, 0]
 
 
-def in_frustum(cam: CameraModel, world, max_depth: float) -> bool:
-    """True iff the point projects inside the image with 0 < depth <= max_depth."""
+def frustum_mask(cam: CameraModel, u, v, depth, max_depth: float) -> np.ndarray:
+    """The frustum test on projected points: 0 < depth <= max_depth and the
+    pixel inside the image, 0 <= u <= W-1 and 0 <= v <= H-1."""
+    width, height = cam.image_size
+    return ((depth > 0) & (depth <= max_depth) & (u >= 0.0) & (u <= width - 1)
+            & (v >= 0.0) & (v <= height - 1))
+
+
+def in_frustum(cam: CameraModel, world, max_depth: float) -> bool | np.ndarray:
+    """True iff the point projects inside the image with 0 < depth <= max_depth;
+    a (3,) point gives a bool and (N, 3) points a bool array."""
     if not max_depth > 0:
         raise ValueError("max_depth must be positive")
-    try:
-        pd = project(cam, world)
-    except SingularProjectionError:
-        return False
-    width, height = cam.image_size
-    return (
-        pd.depth > 0
-        and pd.depth <= max_depth
-        and 0.0 <= pd.u <= width - 1
-        and 0.0 <= pd.v <= height - 1
-    )
+    pts = np.asarray(world, dtype=float)
+    if not np.isfinite(pts).all():
+        raise ValueError("world point must be finite")
+    if pts.shape == (3,):  # numpy scalars test faster than (1,) arrays
+        return bool(frustum_mask(cam, *(x[0] for x in project_points(cam, pts)), max_depth))
+    return frustum_mask(cam, *project_points(cam, pts), max_depth)
 
 
 def frustum_rays(cam: CameraModel, grid_hw: tuple[int, int], max_depth: float, num_depths: int):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 
 import numpy as np
@@ -17,6 +16,8 @@ import numpy as np
 from . import harness, rasters
 from .camera import load_camera_json, save_camera_json, standardize_intrinsics
 from .config import RunConfig
+from .evaluation import GroundTruthSet, SceneGroundTruth, save_gt_jsonl
+from .losses import BOX_LOSS_KINDS
 
 
 def _load_config(path) -> RunConfig:
@@ -30,9 +31,8 @@ def _cmd_gen_scene(args) -> int:
     scene = harness.gen_scene(config, args.seed)
     harness.save_scene_json(args.out, scene)
     if args.gt_out:
-        with open(args.gt_out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(harness.scene_gt_record(scene), sort_keys=True))
-            fh.write("\n")
+        truth = SceneGroundTruth(scene.gt_boxes, scene.gt_categories)
+        save_gt_jsonl(args.gt_out, GroundTruthSet({scene.scene_id: truth}))
     print(
         f"wrote {args.out}: {len(scene.cameras)} cameras, {len(scene.gt_boxes)} boxes"
     )
@@ -114,10 +114,12 @@ def _cmd_pe_heatmap(args) -> int:
     scene = harness.gen_scene(config, args.seed)
     ref = None
     if args.ref:
-        parts = args.ref.split(",")
-        if len(parts) != 2:
-            raise ValueError("--ref must be 'i,j'")
-        ref = (int(parts[0]), int(parts[1]))
+        try:
+            i, j = map(int, args.ref.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--ref must be 'i,j' with integers i and j, got {args.ref!r}") from None
+        ref = (i, j)
     result = harness.pe_heatmap(scene, config, view=args.view, ref=ref)
     rasters.write_pgm(
         f"{args.out_prefix}.pgm", (result.similarity + 1.0) * 0.5 * 255.0
@@ -190,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_standardize)
 
     p = sub.add_parser("fit", help="gradient-descent box fitting on a synthetic scene")
-    p.add_argument("--loss", choices=("l1", "ccd", "pcd", "wd"), default="wd")
+    p.add_argument("--loss", choices=BOX_LOSS_KINDS, default="wd")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default="fit_trace.csv")

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import _json_int, _json_number, _json_numbers
+from .config import RunConfig
 from .geometry import Box9DoF, Detection, _params_matrix, paired_iou, pairwise_iou
 
 SIZE_CLASSES = ("small", "medium", "large")
@@ -28,8 +29,8 @@ SIZE_CLASSES = ("small", "medium", "large")
 class SizeThresholds:
     """Volume split points: small < small_max <= medium < medium_max <= large."""
 
-    small_max: float = 0.01
-    medium_max: float = 0.5
+    small_max: float = RunConfig.size_small_max
+    medium_max: float = RunConfig.size_medium_max
 
     def classify(self, box: Box9DoF) -> str:
         vol = box.volume()
@@ -194,7 +195,7 @@ def _category_ap(tables: list[_SceneCategory], iou_threshold: float,
 
 
 def metrics_report(dets_by_scene: dict[str, list[Detection]], gts: GroundTruthSet,
-                   iou_threshold: float = 0.25,
+                   iou_threshold: float = RunConfig.ap_iou_threshold,
                    thresholds: SizeThresholds | None = None) -> MetricsReport:
     """Per-category APs plus macro means over categories, sizes and subsets.
 

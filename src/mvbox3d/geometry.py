@@ -180,9 +180,10 @@ def rotation_derivatives(euler):
     return rot, (axes @ _SKEW).reshape(rot.shape[:-2] + (3, 3, 3)) @ rot[..., None, :, :]
 
 
-def corner_arms(size, rot) -> np.ndarray:
-    """Canonical corners minus the center (..., 8, 3) for sizes (..., 3) and rotations."""
-    return (CORNER_OFFSETS * np.asarray(size)[..., None, :]) @ rot.swapaxes(-1, -2)
+def corner_arms(size, rot, offsets=CORNER_OFFSETS) -> np.ndarray:
+    """R (offset * size), shape (..., M, 3), for sizes (..., 3), rotations and
+    normalized offsets (..., M, 3), by default the canonical corners."""
+    return (offsets * np.asarray(size)[..., None, :]) @ rot.swapaxes(-1, -2)
 
 
 def gaussian_sigma(size, rot) -> np.ndarray:
@@ -190,11 +191,12 @@ def gaussian_sigma(size, rot) -> np.ndarray:
     return (rot * np.asarray(size)[..., None, :]) @ rot.swapaxes(-1, -2)
 
 
-def box_corners(box) -> np.ndarray:
-    """The 8 world-frame corners in canonical bit order, shape (..., 8, 3), of
-    a ``Box9DoF`` or of (..., 9) box parameters."""
+def box_corners(box, offsets=CORNER_OFFSETS) -> np.ndarray:
+    """World points center + R (offset * size), shape (..., M, 3), of a
+    ``Box9DoF`` or (..., 9) box parameters at normalized offsets (..., M, 3):
+    by default the 8 corners in canonical bit order; aggregation passes its key points."""
     p = box_params(box)
-    return p[..., None, :3] + corner_arms(p[..., 3:6], euler_to_rotation(p[..., 6:]))
+    return p[..., None, :3] + corner_arms(p[..., 3:6], euler_to_rotation(p[..., 6:]), offsets)
 
 
 def signed_permutations() -> list[np.ndarray]:

@@ -248,15 +248,16 @@ def _render_view(scene: SceneSample, view: int, signatures: np.ndarray,
     stride = config.feature_stride
     fh, fw = config.image_height // stride, config.image_width // stride
     cell_u, cell_v = np.arange(fw) * float(stride), (np.arange(fh) * float(stride))[:, None]
-    rot, eye = cam.extrinsics[:3, :3], cam.extrinsics[:3, 3]
+    boxes = _params_matrix(scene.gt_boxes)
+    points = np.concatenate([box_corners(boxes), boxes[:, None, :3]], axis=1)  # corners, center
+    u, v, d = (x.reshape(-1, 9) for x in project_points(cam, points))
     owner, owner_depth = np.full((fh, fw), -1), np.full((fh, fw), np.inf)
-    for idx, box in enumerate(scene.gt_boxes):
-        u, v, d = project_points(cam, box_corners(box))
-        front = d > 1e-6
-        center_depth = float((box.center - eye) @ rot[:, 2])
+    for idx in range(len(boxes)):
+        front = d[idx, :8] > 1e-6
+        center_depth = float(d[idx, 8])
         if front.sum() < 3 or center_depth <= 0:
             continue
-        hull = _convex_hull_2d(np.column_stack([u[front], v[front]]))
+        hull = _convex_hull_2d(np.column_stack([u[idx, :8][front], v[idx, :8][front]]))
         if len(hull) < 3:
             continue
         # test the hull's bounding box of cells, padded by one against rounding
@@ -590,12 +591,6 @@ def save_scene_json(path, scene: SceneSample) -> None:
 def load_scene_json(path) -> SceneSample:
     with open(path, "r", encoding="utf-8") as fh:
         return scene_from_dict(json.load(fh))
-
-
-def scene_gt_record(scene: SceneSample) -> dict:
-    """Ground-truth JSON-lines record for a scene, in the "all" subset."""
-    boxes = [box_record(b, c) for b, c in zip(scene.gt_boxes, scene.gt_categories)]
-    return {"scene_id": scene.scene_id, "subset": "all", "boxes": boxes}
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,6 @@ WASSERSTEIN_EPS = 1e-8
 FOCAL_GAMMA = 2.0
 FOCAL_ALPHA = 0.25
 
-BOX_LOSS_KINDS = ("l1", "ccd", "pcd", "wd")
-
 _PERM_TABLE = corner_permutation_table()
 # flat indices into an (8 pred, 8 gt) corner distance table: entry (i, g)
 # picks the distance from pred corner i to its gt corner under ordering g
@@ -253,6 +251,7 @@ _BOX_LOSSES = {
     "pcd": permutation_corner_loss,
     "wd": wasserstein_loss,
 }
+BOX_LOSS_KINDS = tuple(_BOX_LOSSES)
 
 
 def get_box_loss(kind: str):

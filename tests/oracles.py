@@ -26,9 +26,12 @@
   the literal position encoding, which embeds every frustum point
   t + d_k R r of a (h, w, K, 3) grid and collapses the (h, w, K, C)
   embeddings with the depth weights, IPE = sum_k D_k PPE(p_k).
-* ``oracle_aggregate``: deformable aggregation that samples one key point of
-  one view at a time (``oracle_bilinear_sample``) and adds it to the query's
-  update in a Python double loop.
+* ``oracle_project``: the pinhole projection of one point in Python floats.
+* ``oracle_aggregation_weights``: the masked softmax of one query's (M, N)
+  key-point/view logits.
+* ``oracle_aggregate``: deformable aggregation one query at a time, that
+  samples one key point of one view at a time (``oracle_bilinear_sample``)
+  and adds it to the query's update in a Python double loop.
 * ``oracle_heatmap_csv``: the heatmap CSV formatted from numpy scalars, one
   indexed cell at a time.
 * ``oracle_render_view``: the owner and depth grids of one view, painted box
@@ -57,12 +60,12 @@ from scipy.spatial import ConvexHull, QhullError
 
 from mvbox3d.aggregation import (
     FIXED_KEYPOINT_OFFSETS,
-    aggregation_weights,
+    AggregationWeights,
+    camera_descriptor,
     keypoint_validity,
-    keypoints_world,
     learnable_keypoint_offsets,
 )
-from mvbox3d.camera import frustum_rays, project_points
+from mvbox3d.camera import PixelDepth, SingularProjectionError, frustum_rays, project_points
 from mvbox3d.geometry import (
     _EDGES,
     _PLANE_EPS,
@@ -390,6 +393,37 @@ def oracle_bilinear_sample(grid, u, v):
     )
 
 
+def oracle_project(cam, world):
+    """Pixel coordinates and depth of one finite world point from scalar
+    camera-frame coordinates: R^T (p - t), then (fu x / d + cu, fv y / d + cv)
+    for any nonzero depth d, also a negative one."""
+    p = np.asarray(world, dtype=float).reshape(3)
+    rot = cam.extrinsics[:3, :3]
+    x, y, d = (rot.T @ (p - cam.extrinsics[:3, 3])).tolist()
+    if d == 0.0:
+        raise SingularProjectionError("point lies on the camera plane (depth 0)")
+    fu, fv, cu, cv = cam.intrinsics.tolist()
+    return PixelDepth(fu * x / d + cu, fv * y / d + cv, d)
+
+
+def oracle_aggregation_weights(query, cams, validity, params):
+    """``aggregation_weights`` of one query: the joint softmax over the (M, N)
+    logits shifted by the largest valid one, invalid entries zeroed, divided
+    by the sum."""
+    valid = np.asarray(validity, dtype=bool)
+    m, n = valid.shape
+    desc = np.concatenate(
+        [query.feature, query.anchor.to_params()] + [camera_descriptor(c) for c in cams]
+    )
+    logits = params.apply(desc).reshape(m, n)
+    if not valid.any():
+        return AggregationWeights(np.zeros((m, n)), True)
+    shifted = logits - logits[valid].max()
+    weights = np.where(valid, np.exp(shifted), 0.0)
+    weights /= weights.sum()
+    return AggregationWeights(weights, False)
+
+
 def oracle_aggregate(queries, feature_maps, cams, params):
     """``aggregate`` one query, one key point and one view at a time."""
     out = []
@@ -399,7 +433,7 @@ def oracle_aggregate(queries, feature_maps, cams, params):
             [FIXED_KEYPOINT_OFFSETS,
              learnable_keypoint_offsets(query.feature, params.offset_params)]
         )
-        points = keypoints_world(query.anchor, offsets)
+        points = box_corners(query.anchor, offsets)
         valid = np.zeros((len(points), len(cams)), dtype=bool)
         coords = np.zeros((len(points), len(cams), 2))
         for n, (cam, fm) in enumerate(zip(cams, feature_maps)):
@@ -407,7 +441,7 @@ def oracle_aggregate(queries, feature_maps, cams, params):
             valid[:, n] = ok
             coords[:, n, 0] = np.where(ok, fu, 0.0)
             coords[:, n, 1] = np.where(ok, fv, 0.0)
-        w = aggregation_weights(query, cams, valid, params.weight_params)
+        w = oracle_aggregation_weights(query, cams, valid, params.weight_params)
         acc = np.zeros(feature_maps[0].grid.shape[2])
         for i in range(len(points)):
             for n in range(len(cams)):

@@ -13,13 +13,12 @@ from mvbox3d.aggregation import (
     camera_descriptor,
     generate_anchors,
     keypoint_validity,
-    keypoints_world,
     learnable_keypoint_offsets,
 )
 from mvbox3d.camera import CameraModel, DEFAULT_STD_INTRINSICS, bilinear_warp, project_points
 from mvbox3d.enhancer import FeatureMap, LinearParams, init_linear
 from mvbox3d.geometry import Box9DoF, box_corners, euler_to_rotation, transform_box
-from oracles import oracle_aggregate, oracle_bilinear_sample
+from oracles import oracle_aggregate, oracle_aggregation_weights, oracle_bilinear_sample
 
 
 def make_camera(euler=(0, 0, 0), translation=(0, 0, 0), size=(512, 512)):
@@ -80,14 +79,16 @@ class TestLearnableOffsets:
 
 
 class TestKeypointsWorld:
+    """Key points in the world frame: ``box_corners`` at key-point offsets."""
+
     def test_center_offset(self):
         box = Box9DoF([1, 2, 3], [2, 1, 1], [0.3, 0.2, 0.1])
-        pts = keypoints_world(box, [[0, 0, 0]])
+        pts = box_corners(box, [[0, 0, 0]])
         assert np.allclose(pts[0], [1, 2, 3])
 
     def test_face_center_axis_aligned(self):
         box = Box9DoF([1, 2, 3], [2.0, 0.5, 0.8], [0, 0, 0])
-        pts = keypoints_world(box, [[0.5, 0, 0]])
+        pts = box_corners(box, [[0.5, 0, 0]])
         assert np.allclose(pts[0], [2, 2, 3], atol=1e-12)
 
     def test_face_centers_match_corner_centroids(self):
@@ -104,7 +105,7 @@ class TestKeypointsWorld:
             (0.0, 0.0, -0.5): [0, 2, 4, 6],
         }
         for off, idx in faces.items():
-            kp = keypoints_world(box, [list(off)])[0]
+            kp = box_corners(box, [list(off)])[0]
             centroid = corners[idx].mean(axis=0)
             assert np.max(np.abs(kp - centroid)) < 1e-9
 
@@ -185,6 +186,21 @@ class TestAggregationWeights:
         assert w.weights.sum() == pytest.approx(1.0, abs=1e-6)
         assert np.all(w.weights >= 0)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_oracle(self, seed):
+        rng = np.random.default_rng([seed, 31])
+        n_views = 1 + seed % 3
+        cams = [make_camera(euler=rng.uniform(-0.5, 0.5, 3), translation=rng.uniform(-1, 1, 3))
+                for _ in range(n_views)]
+        query = Query(rng.normal(size=6), Box9DoF(rng.uniform(-1, 1, 3) + [0, 0, 3],
+                                                  rng.uniform(0.3, 2, 3), rng.uniform(-1, 1, 3)))
+        validity = rng.random((16, n_views)) > [0.3, 0.7, 1.0][seed % 3]
+        params = init_linear("weights", 6 + 9 + 16 * n_views, 16 * n_views, [seed, 32])
+        w = aggregation_weights(query, cams, validity, params)
+        want = oracle_aggregation_weights(query, cams, validity, params)
+        assert w.all_invalid == want.all_invalid == (not validity.any())
+        assert np.max(np.abs(w.weights - want.weights)) <= 1e-12
+
     def test_descriptor_layout(self):
         cam = make_camera(translation=(1, 2, 3))
         desc = camera_descriptor(cam)
@@ -228,12 +244,12 @@ class TestAggregate:
     def test_projected_pixels_rigid_equivariance(self):
         box, cams, query = simple_scene()
         offsets = np.concatenate([FIXED_KEYPOINT_OFFSETS, np.zeros((9, 3))])
-        pts = keypoints_world(box, offsets)
+        pts = box_corners(box, offsets)
         g = np.eye(4)
         g[:3, :3] = euler_to_rotation([0.7, -0.4, 2.1])
         g[:3, 3] = [4, -3, 2]
         moved_box = transform_box(box, g)
-        moved_pts = keypoints_world(moved_box, offsets)
+        moved_pts = box_corners(moved_box, offsets)
         for cam in cams:
             u, v, d = project_points(cam, pts)
             cam2 = CameraModel(cam.intrinsics, g @ cam.extrinsics, cam.image_size)
@@ -277,7 +293,7 @@ class TestAggregate:
         query = Query(np.zeros(4), box)
         params = AggregationParams(zero_params(4, 27), zero_params(4 + 9 + 32, 32), 10.0)
         offsets = np.concatenate([FIXED_KEYPOINT_OFFSETS, np.zeros((9, 3))])
-        assert not keypoint_validity(cams[1], constant_map(0.0), keypoints_world(box, offsets))[0].any()
+        assert not keypoint_validity(cams[1], constant_map(0.0), box_corners(box, offsets))[0].any()
         rng = np.random.default_rng(6)
         maps_a = [constant_map(2.0, view=0), FeatureMap(1, 8.0, rng.normal(size=(64, 64, 4)))]
         maps_b = [constant_map(2.0, view=0), FeatureMap(1, 8.0, rng.normal(size=(64, 64, 4)))]
@@ -316,6 +332,20 @@ class TestAggregateOracle:
         assert feats.shape == (5, 6) and flags == want_flags
         assert np.max(np.abs(feats - want)) <= 1e-12
 
+    @pytest.mark.parametrize("n_queries", range(1, 7))
+    def test_query_batch_matches_oracle(self, n_queries):
+        rng, cams, maps, params = self._scene(20 + n_queries, n_views=1 + n_queries % 3)
+        queries = [
+            Query(rng.normal(size=6),
+                  Box9DoF(rng.uniform([-2, -1.5, -1], [2, 1.5, 7]),
+                          rng.uniform(0.3, 2.5, 3), rng.uniform(-1, 1, 3)))
+            for _ in range(n_queries)
+        ]
+        feats, flags = aggregate(queries, maps, cams, params)
+        want, want_flags = oracle_aggregate(queries, maps, cams, params)
+        assert feats.shape == (n_queries, 6) and flags == want_flags
+        assert np.max(np.abs(feats - want)) <= 1e-12
+
     def test_partly_visible_and_all_invalid_queries(self):
         rng, cams, maps, params = self._scene(11, n_views=2)
         edge = Query(rng.normal(size=6), Box9DoF([1.6, 0.0, 3.0], [1.5, 1.2, 1.0], [0, 0, 0]))
@@ -325,7 +355,7 @@ class TestAggregateOracle:
         offsets = np.concatenate(
             [FIXED_KEYPOINT_OFFSETS, learnable_keypoint_offsets(edge.feature, params.offset_params)]
         )
-        visible = keypoint_validity(cams[0], maps[0], keypoints_world(edge.anchor, offsets), 8.0)[0]
+        visible = keypoint_validity(cams[0], maps[0], box_corners(edge.anchor, offsets), 8.0)[0]
         assert visible.any() and not visible.all()
         feats, flags = aggregate(queries, maps, cams, params)
         want, want_flags = oracle_aggregate(queries, maps, cams, params)
@@ -336,7 +366,7 @@ class TestAggregateOracle:
     def test_no_queries(self):
         _, cams, maps, params = self._scene(3)
         feats, flags = aggregate([], maps, cams, params)
-        assert feats.shape == (0,) and flags == []
+        assert feats.shape == (0, 6) and flags == []
 
 
 class TestGenerateAnchors:

@@ -5,7 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mvbox3d.aggregation import keypoint_validity
 from mvbox3d.camera import (
     DEFAULT_STD_INTRINSICS,
     CameraModel,
@@ -23,9 +26,17 @@ from mvbox3d.camera import (
     standardize_intrinsics,
     unproject,
 )
-from mvbox3d.geometry import euler_to_rotation
+from mvbox3d.enhancer import FeatureMap
+from mvbox3d.geometry import euler_to_rotation, signed_permutations
 from mvbox3d.rasters import read_pgm, read_ppm, write_pgm, write_ppm
-from oracles import oracle_bilinear_warp, oracle_frustum_point_grid, oracle_standardize_warp
+from oracles import (
+    oracle_bilinear_warp,
+    oracle_frustum_point_grid,
+    oracle_project,
+    oracle_standardize_warp,
+)
+
+PROPERTIES = settings(derandomize=True, max_examples=200, deadline=None)
 
 
 def make_camera(euler=(0, 0, 0), translation=(0, 0, 0), size=(512, 512)):
@@ -114,8 +125,16 @@ class TestProject:
         pts = rng.uniform(-3, 3, (50, 3)) + np.array([0, 0, 5.0])
         u, v, d = project_points(cam, pts)
         for i in range(50):
-            pd = project(cam, pts[i])
+            pd = oracle_project(cam, pts[i])
             assert (u[i], v[i], d[i]) == pytest.approx((pd.u, pd.v, pd.depth), abs=1e-9)
+
+    def test_behind_camera_nan_pixel(self):
+        pd = project(make_camera(), [0.5, -0.2, -2.0])
+        assert pd.depth == -2.0 and np.isnan(pd.u) and np.isnan(pd.v)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            project(make_camera(), [0.0, np.nan, 1.0])
 
     def test_rigid_consistency(self):
         # moving camera and point by the same rigid transform fixes (u, v, d)
@@ -146,6 +165,152 @@ class TestInFrustum:
     def test_max_depth_validation(self):
         with pytest.raises(ValueError):
             in_frustum(make_camera(), [0, 0, 1], 0.0)
+
+    def test_point_array(self):
+        cam = make_camera(euler=(0.1, 0.2, -0.3), translation=(0.4, 0.0, -0.5))
+        pts = np.random.default_rng(5).uniform([-4, -4, -3], [4, 4, 12], (40, 3))
+        inside = in_frustum(cam, pts, 10.0)
+        assert inside.dtype == bool and inside.shape == (40,)
+        assert inside.tolist() == [in_frustum(cam, p, 10.0) for p in pts]
+        assert 0 < inside.sum() < 40
+        assert type(in_frustum(cam, pts[0], 10.0)) is bool
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            in_frustum(make_camera(), [[0, 0, 1], [0, np.inf, 1]], 10.0)
+
+
+# The 24 rotations with entries 0 and +-1: through them, with power-of-two
+# focal lengths and small integer offsets, a projection is exact.
+AXIS_ROTATIONS = [r for r in signed_permutations() if np.linalg.det(r) > 0]
+
+
+def _camera(rot, t, intrinsics, size):
+    ext = np.eye(4)
+    ext[:3, :3], ext[:3, 3] = rot, t
+    return CameraModel(intrinsics, ext, size)
+
+
+@st.composite
+def general_views(draw):
+    """A camera in a general pose, a point in front of it or behind it, near
+    the image or on it, and max_depth."""
+    cam = _camera(euler_to_rotation([draw(st.floats(-3.2, 3.2)) for _ in range(3)]),
+                  [draw(st.floats(-5, 5)) for _ in range(3)],
+                  [draw(st.floats(50, 900)), draw(st.floats(50, 900)),
+                   draw(st.floats(-50, 700)), draw(st.floats(-50, 700))],
+                  (draw(st.integers(1, 640)), draw(st.integers(1, 640))))
+    (width, height), (fu, fv, cu, cv) = cam.image_size, cam.intrinsics
+    # the border u = 0 (v = 0) is left to the exact views: here rounding decides
+    share = st.floats(-0.2, 1.2).filter(lambda x: abs(x) > 1e-3)
+    u, v = draw(share) * width, draw(share) * height
+    depth = draw(st.floats(1e-3, 12)) * draw(st.sampled_from([1, -1]))
+    local = np.array([(u - cu) * depth / fu, (v - cv) * depth / fv, depth])
+    world = cam.extrinsics[:3, :3] @ local + cam.extrinsics[:3, 3]
+    return cam, world, draw(st.floats(0.5, 15))
+
+
+@st.composite
+def exact_views(draw):
+    """An axis-aligned camera and a point whose projection is exact: on the
+    camera plane, on an image border, or at exactly max_depth, in front of
+    the camera or behind it."""
+    width, height = draw(st.integers(1, 640)), draw(st.integers(1, 640))
+    fu, fv = 2.0 ** draw(st.integers(5, 10)), 2.0 ** draw(st.integers(5, 10))
+    cu, cv = draw(st.integers(-8, width + 8)), draw(st.integers(-8, height + 8))
+    cam = _camera(draw(st.sampled_from(AXIS_ROTATIONS)),
+                  [draw(st.integers(-4, 4)) for _ in range(3)], [fu, fv, cu, cv],
+                  (width, height))
+    kind = draw(st.sampled_from(["plane", "border", "max_depth"]))
+    u, v = draw(st.integers(-2, width + 1)), draw(st.integers(-2, height + 1))
+    if kind == "border" and draw(st.booleans()):
+        u = draw(st.sampled_from([0, width - 1]))
+    elif kind == "border":
+        v = draw(st.sampled_from([0, height - 1]))
+    depth = draw(st.integers(1, 64)) / 4.0 * draw(st.sampled_from([1, -1]))
+    max_depth = draw(st.integers(1, 64)) / 4.0
+    if kind == "plane":
+        depth = 0.0
+    elif kind == "max_depth":
+        depth = max_depth
+    local = np.array([(u - cu) * depth / fu, (v - cv) * depth / fv, depth])
+    if kind == "plane":
+        local[:2] = [draw(st.integers(-64, 64)) / 8.0 for _ in range(2)]
+    world = cam.extrinsics[:3, :3] @ local + cam.extrinsics[:3, 3]
+    return cam, world, max_depth
+
+
+def _expected_inside(cam, pd, max_depth):
+    """The explicit frustum bounds on an oracle projection."""
+    width, height = cam.image_size
+    return (pd is not None and 0 < pd.depth <= max_depth
+            and 0 <= pd.u <= width - 1 and 0 <= pd.v <= height - 1)
+
+
+def _bound_margin(cam, pd, max_depth, fm):
+    """Distance of an oracle projection to the nearest frustum or footprint
+    bound that decides its validity."""
+    width, height = cam.image_size
+    fh, fw = fm.grid.shape[:2]
+    margin = min(abs(pd.depth), abs(pd.depth - max_depth))
+    if pd.depth < 0:
+        return margin
+    return min(margin, abs(pd.u), abs(pd.u - width + 1), abs(pd.v), abs(pd.v - height + 1),
+               abs(pd.u / fm.stride - fw + 1), abs(pd.v / fm.stride - fh + 1))
+
+
+class TestOneProjection:
+    """``project``, ``in_frustum`` and ``keypoint_validity`` all read
+    ``project_points``; each agrees with ``oracle_project`` plus the explicit
+    depth, image and feature-footprint bounds."""
+
+    def _check(self, cam, world, max_depth, fm, exact):
+        try:
+            want = oracle_project(cam, world)
+        except SingularProjectionError:
+            want = None
+        if want is None:
+            with pytest.raises(SingularProjectionError):
+                project(cam, world)
+        else:
+            got = project(cam, world)
+            if exact:
+                assert got.depth == want.depth
+            else:
+                assert got.depth == pytest.approx(want.depth, rel=1e-12, abs=1e-12)
+            if want.depth > 0 and exact:
+                assert (got.u, got.v) == (want.u, want.v)
+            elif want.depth > 0:
+                assert (got.u, got.v) == pytest.approx((want.u, want.v), rel=1e-9, abs=1e-6)
+            else:
+                assert np.isnan(got.u) and np.isnan(got.v)
+        if not exact and _bound_margin(cam, want, max_depth, fm) < 1e-6:
+            return  # rounding decides; the exact views test the bounds themselves
+        inside = _expected_inside(cam, want, max_depth)
+        assert in_frustum(cam, world, max_depth) is inside
+        assert in_frustum(cam, world[None], max_depth).tolist() == [inside]
+        fh, fw = fm.grid.shape[:2]
+        footprint = inside and want.u / fm.stride <= fw - 1 and want.v / fm.stride <= fh - 1
+        valid, fu, fv = keypoint_validity(cam, fm, world[None], max_depth)
+        assert valid.tolist() == [footprint]
+        if inside:
+            assert (fu[0], fv[0]) == pytest.approx((want.u / fm.stride, want.v / fm.stride),
+                                                   rel=1e-9, abs=1e-6)
+
+    @staticmethod
+    def _feature_map(draw):
+        return FeatureMap(0, float(draw(st.sampled_from([1, 4, 8]))),
+                          np.zeros((draw(st.integers(1, 100)), draw(st.integers(1, 100)), 1)))
+
+    @PROPERTIES
+    @given(general_views(), st.data())
+    def test_general_pose(self, view, data):
+        self._check(*view, self._feature_map(data.draw), exact=False)
+
+    @PROPERTIES
+    @given(exact_views(), st.data())
+    def test_plane_border_and_max_depth(self, view, data):
+        self._check(*view, self._feature_map(data.draw), exact=True)
 
 
 class TestFrustumPointGrid:

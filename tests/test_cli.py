@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mvbox3d.camera import CameraModel, save_camera_json
-from mvbox3d.cli import main
+from mvbox3d.cli import build_parser, main
 from mvbox3d.config import RunConfig
+from mvbox3d.losses import BOX_LOSS_KINDS
 from mvbox3d.rasters import read_pgm, read_ppm, write_ppm
 
 
@@ -288,6 +289,11 @@ class TestFit:
             assert code == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_loss_choices_are_the_loss_kinds(self):
+        fit = build_parser()._subparsers._group_actions[0].choices["fit"]
+        (loss,) = [a for a in fit._actions if a.dest == "loss"]
+        assert tuple(loss.choices) == BOX_LOSS_KINDS == ("l1", "ccd", "pcd", "wd")
+
     def test_svg_emitted(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
         svg = tmp_path / "curve.svg"
@@ -456,6 +462,15 @@ class TestHeatmapCli:
         code = run(["pe-heatmap", "--seed", "2", "--ref", "oops",
                     "--out-prefix", str(tmp_path / "x")])
         assert code == 1
+
+    @pytest.mark.parametrize("ref", ["a,b", "1.5,2", "1,2,3", "oops"])
+    def test_non_integer_ref(self, tmp_path, capsys, ref):
+        code = run(["pe-heatmap", "--seed", "2", f"--ref={ref}",
+                    "--out-prefix", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --ref must be 'i,j' with integers i and j, got {ref!r}\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--ref=100,100", "--ref=-1,-1", "--view=-1"])
     def test_out_of_range_view_or_ref(self, tmp_path, capsys, flag):

@@ -1,6 +1,7 @@
 """Evaluation tests: greedy matching, all-point AP, the split report, and the
 JSON-lines interchange, each checked against brute-force oracles."""
 
+import inspect
 import json
 import struct
 
@@ -24,6 +25,7 @@ from mvbox3d.evaluation import (
     save_detections_jsonl,
     save_gt_jsonl,
 )
+from mvbox3d.config import RunConfig
 from mvbox3d.geometry import Box9DoF, Detection, box_iou
 from oracles import oracle_average_precision, oracle_greedy_flags, oracle_iou
 
@@ -194,6 +196,12 @@ class TestAveragePrecision:
 
 
 class TestMetricsReport:
+    def test_defaults_are_the_config_defaults(self):
+        config = RunConfig()
+        assert SizeThresholds() == SizeThresholds(config.size_small_max, config.size_medium_max)
+        default = inspect.signature(metrics_report).parameters["iou_threshold"].default
+        assert default == config.ap_iou_threshold
+
     def _simple_gts(self):
         return GroundTruthSet(
             {

@@ -49,7 +49,6 @@ from mvbox3d.harness import (
     run_fit_benchmark,
     save_scene_json,
     scene_from_dict,
-    scene_gt_record,
     scene_to_dict,
     signature_recovery,
     svg_line_chart,
@@ -66,6 +65,12 @@ from oracles import (
 )
 
 FAST_FIT = RunConfig(fit_steps=300)
+
+
+def scene_ground_truth(scene):
+    """The scene's boxes as a one-scene ground-truth set, as ``gen-scene --gt-out`` writes it."""
+    truth = evaluation.SceneGroundTruth(scene.gt_boxes, scene.gt_categories)
+    return evaluation.GroundTruthSet({scene.scene_id: truth})
 RECOVERY = RunConfig(max_boxes=4, min_cameras=5, min_box_separation=1.8, box_size_max=0.7)
 
 
@@ -117,12 +122,18 @@ class TestGenScene:
         with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
             scene_from_dict(data)
 
-    def test_gt_record_schema(self):
+    def test_gt_record_schema(self, tmp_path):
         scene = gen_scene(RunConfig(), 1)
-        rec = scene_gt_record(scene)
-        assert rec["scene_id"] == scene.scene_id
+        path = tmp_path / "gt.jsonl"
+        evaluation.save_gt_jsonl(path, scene_ground_truth(scene))
+        rec = json.loads(path.read_text())
+        assert rec["scene_id"] == scene.scene_id and rec["subset"] == "all"
         assert len(rec["boxes"]) == len(scene.gt_boxes)
         assert {"center", "size", "euler", "category"} <= set(rec["boxes"][0])
+        loaded = evaluation.load_gt_jsonl(path).scenes[scene.scene_id]
+        assert loaded.categories == scene.gt_categories
+        assert [b.to_params().tolist() for b in loaded.boxes] == (
+            [b.to_params().tolist() for b in scene.gt_boxes])
 
 
 class TestRenderFeatureMaps:
@@ -558,10 +569,11 @@ class TestRunEval:
         config = RunConfig()
         gt_path = tmp_path / "gt.jsonl"
         det_path = tmp_path / "dets.jsonl"
-        with open(gt_path, "w") as gt_fh, open(det_path, "w") as det_fh:
+        gts = evaluation.GroundTruthSet()
+        with open(det_path, "w") as det_fh:
             for seed in (0, 1):
                 scene = gen_scene(config, seed)
-                gt_fh.write(json.dumps(scene_gt_record(scene), sort_keys=True) + "\n")
+                gts.scenes.update(scene_ground_truth(scene).scenes)
                 boxes = []
                 for box, cat in zip(scene.gt_boxes, scene.gt_categories):
                     rec = {
@@ -577,6 +589,7 @@ class TestRunEval:
                 det_fh.write(
                     json.dumps({"scene_id": scene.scene_id, "boxes": boxes}) + "\n"
                 )
+        evaluation.save_gt_jsonl(gt_path, gts)
         return det_path, gt_path
 
     def test_perfect_detections(self, tmp_path):
