@@ -15,7 +15,7 @@ import numpy as np
 
 from .camera import CameraModel, bilinear_warp, frustum_mask, project_points
 from .enhancer import FeatureMap, LinearParams
-from .geometry import Box9DoF, box_corners
+from .geometry import Box9DoF, box_corners, box_params
 
 # Stereo center plus the six face centers, in normalized box coordinates.
 FIXED_KEYPOINT_OFFSETS = np.array(
@@ -116,7 +116,7 @@ def aggregation_weights(query: Query, cams: list[CameraModel], validity,
     if valid.ndim != 2 or valid.shape[1] != len(cams):
         raise ValueError("validity must be (M, N) with one column per camera")
     weights, all_invalid = _masked_softmax(
-        query.feature[None], query.anchor.to_params()[None], cams, valid[None], params)
+        query.feature[None], box_params(query.anchor)[None], cams, valid[None], params)
     return AggregationWeights(weights[0], bool(all_invalid[0]))
 
 
@@ -159,7 +159,7 @@ def aggregate(queries: list[Query], feature_maps: list[FeatureMap],
     if n_queries == 0:
         return np.zeros((0, channels)), []
     features = np.stack([query.feature for query in queries])
-    anchors = np.stack([query.anchor.to_params() for query in queries])
+    anchors = box_params([query.anchor for query in queries])
     offsets = np.concatenate(
         [np.broadcast_to(FIXED_KEYPOINT_OFFSETS, (n_queries,) + FIXED_KEYPOINT_OFFSETS.shape),
          learnable_keypoint_offsets(features, params.offset_params)], axis=1)
@@ -197,7 +197,7 @@ def generate_anchors(boxes: list[Box9DoF], k: int, seed) -> list[Box9DoF]:
         raise ValueError("k must be >= 1")
     if k > len(boxes):
         raise ValueError(f"k = {k} exceeds the number of boxes ({len(boxes)})")
-    data = np.stack([b.to_params() for b in boxes])
+    data = box_params(boxes)
     rng = np.random.default_rng(seed)
     n = len(data)
 
@@ -227,9 +227,5 @@ def generate_anchors(boxes: list[Box9DoF], k: int, seed) -> list[Box9DoF]:
         if moved < _KMEANS_TOL:
             break
 
-    anchors = []
-    for c in centers:
-        params = c.copy()
-        params[3:6] = np.maximum(params[3:6], _MIN_ANCHOR_SIZE)
-        anchors.append(Box9DoF.from_params(params))
-    return anchors
+    centers[:, 3:6] = np.maximum(centers[:, 3:6], _MIN_ANCHOR_SIZE)
+    return [Box9DoF.from_params(c) for c in centers]

@@ -34,11 +34,13 @@ class CameraModel:
         intr = np.asarray(self.intrinsics, dtype=float).reshape(-1)
         if intr.shape != (4,):
             raise ValueError("intrinsics must be (fu, fv, cu, cv)")
-        if intr[0] <= 0 or intr[1] <= 0:
-            raise ValueError("focal lengths must be strictly positive")
         ext = np.asarray(self.extrinsics, dtype=float)
         if ext.shape != (4, 4):
             raise ValueError("extrinsics must be a 4x4 matrix")
+        if not (np.isfinite(intr).all() and np.isfinite(ext).all()):
+            raise ValueError("camera intrinsics and extrinsics must be finite")
+        if intr[0] <= 0 or intr[1] <= 0:
+            raise ValueError("focal lengths must be strictly positive")
         if np.max(np.abs(ext[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > 1e-9:
             raise ValueError("extrinsics bottom row must be [0, 0, 0, 1]")
         rot = ext[:3, :3]
@@ -237,8 +239,8 @@ def standardize_intrinsics(image, cam: CameraModel, std_intrinsics=None):
     if std_intrinsics is None:
         std_intrinsics = DEFAULT_STD_INTRINSICS
     std = np.asarray(std_intrinsics, dtype=float).reshape(4)
-    if std[0] <= 0 or std[1] <= 0:
-        raise ValueError("standardized focal lengths must be positive")
+    if not (np.isfinite(std).all() and std[0] > 0 and std[1] > 0):
+        raise ValueError(f"target intrinsics must be finite and fu, fv > 0, got {std.tolist()}")
     img = np.asarray(image)
     height, width = img.shape[:2]
     fu_s, fv_s, cu_s, cv_s = cam.intrinsics

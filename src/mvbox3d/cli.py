@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 
 import numpy as np
@@ -17,6 +18,7 @@ from . import harness, rasters
 from .camera import load_camera_json, save_camera_json, standardize_intrinsics
 from .config import RunConfig
 from .evaluation import GroundTruthSet, SceneGroundTruth, save_gt_jsonl
+from .geometry import paired_iou
 from .losses import BOX_LOSS_KINDS
 
 
@@ -43,8 +45,6 @@ def _cmd_render(args) -> int:
     config = _load_config(args.config)
     scene = harness.load_scene_json(args.scene)
     rendered = harness.render_feature_maps(scene, config)
-    import os
-
     os.makedirs(args.out_dir, exist_ok=True)
     for view, (owner, depth_fm) in enumerate(zip(rendered.owners, rendered.depth_maps)):
         n_inst = max(len(scene.gt_boxes), 1)
@@ -84,9 +84,7 @@ def _cmd_fit(args) -> int:
         )
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(chart)
-    ious = [
-        harness.box_iou(t.final_box, gt) for t, gt in zip(traces, scene.gt_boxes)
-    ]
+    ious = paired_iou([t.final_box for t in traces], scene.gt_boxes)
     print(
         f"fit {len(traces)} boxes with {args.loss}: mean final IoU "
         f"{float(np.mean(ious)):.4f}, wrote {args.out}"

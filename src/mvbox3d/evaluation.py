@@ -20,7 +20,7 @@ import numpy as np
 
 from .camera import _json_int, _json_number, _json_numbers
 from .config import RunConfig
-from .geometry import Box9DoF, Detection, _params_matrix, paired_iou, pairwise_iou
+from .geometry import Box9DoF, Detection, box_params, paired_iou, pairwise_iou
 
 SIZE_CLASSES = ("small", "medium", "large")
 
@@ -33,12 +33,13 @@ class SizeThresholds:
     medium_max: float = RunConfig.size_medium_max
 
     def classify(self, box: Box9DoF) -> str:
-        vol = box.volume()
-        if vol < self.small_max:
-            return "small"
-        if vol < self.medium_max:
-            return "medium"
-        return "large"
+        return self._classes(box_params(box)[None])[0]
+
+    def _classes(self, params) -> list[str]:
+        """The size class of each row of (N, 9) box parameters, by its volume."""
+        vol = np.prod(params[:, 3:6], axis=1)
+        index = (vol >= self.small_max) * (1 + (vol >= self.medium_max))  # 0, 1, 2
+        return [SIZE_CLASSES[k] for k in index.tolist()]
 
 
 @dataclass
@@ -132,32 +133,29 @@ class _SceneCategory:
 
 
 def _scene_tables(dets_by_scene: dict[str, list[Detection]], gts: GroundTruthSet,
-                  categories, thresholds: SizeThresholds) -> dict[int, list[_SceneCategory]]:
+                  thresholds: SizeThresholds) -> dict[int, list[_SceneCategory]]:
     """Per category, one table per scene (in scene id order) that holds a
-    detection or a ground truth of it. The (detection, ground truth) pairs of
-    all tables go to one ``paired_iou`` call, and each table's IoU matrix is
-    shared by every split."""
-    tables: dict[int, list[_SceneCategory]] = {c: [] for c in categories}
+    detection or a ground truth of it. Each scene's boxes are converted and
+    size-classed once; all tables' (detection, ground truth) pairs go to one
+    ``paired_iou`` call, and each table's IoU matrix is shared by every split."""
+    tables: dict[int, list[_SceneCategory]] = {}
     made = []  # (table, its detections' parameters, its ground truths' parameters)
     for scene_id in sorted(set(dets_by_scene) | set(gts.scenes)):
         scene_gt = gts.scenes.get(scene_id)
-        gt_pairs = list(zip(scene_gt.boxes, scene_gt.categories)) if scene_gt else []
+        subset, gt_boxes, gt_cats = ((scene_gt.subset, scene_gt.boxes, scene_gt.categories)
+                                     if scene_gt else (None, [], []))
         dets = dets_by_scene.get(scene_id, [])
-        for cat in categories:
-            gt_boxes = [b for b, c in gt_pairs if c == cat]
-            cat_dets = [d for d in dets if d.category == cat]
-            if not gt_boxes and not cat_dets:
-                continue
-            scores = [d.score for d in cat_dets]
-            tables[cat].append(_SceneCategory(
-                scene_id, scene_gt.subset if scene_gt else None,
-                scores, _score_order(scores),
-                [thresholds.classify(d.box) for d in cat_dets],
-                [thresholds.classify(b) for b in gt_boxes],
-                [],
-            ))
-            made.append((tables[cat][-1], _params_matrix([d.box for d in cat_dets]),
-                         _params_matrix(gt_boxes)))
+        det_params, gt_params = box_params([d.box for d in dets]), box_params(gt_boxes)
+        det_sizes, gt_sizes = thresholds._classes(det_params), thresholds._classes(gt_params)
+        det_cats = [d.category for d in dets]
+        for cat in sorted(set(det_cats) | set(gt_cats)):
+            di = [i for i, c in enumerate(det_cats) if c == cat]
+            gi = [i for i, c in enumerate(gt_cats) if c == cat]
+            scores = [dets[i].score for i in di]
+            table = _SceneCategory(scene_id, subset, scores, _score_order(scores),
+                                   [det_sizes[i] for i in di], [gt_sizes[i] for i in gi], [])
+            tables.setdefault(cat, []).append(table)
+            made.append((table, det_params[di], gt_params[gi]))
     if made:
         iou = paired_iou(np.concatenate([np.repeat(d, len(g), axis=0) for _, d, g in made]),
                          np.concatenate([np.tile(g, (len(d), 1)) for _, d, g in made]))
@@ -206,14 +204,8 @@ def metrics_report(dets_by_scene: dict[str, list[Detection]], gts: GroundTruthSe
     once for all splits, in one pooled call.
     """
     thresholds = thresholds or SizeThresholds()
-    gt_categories = sorted(
-        {c for scene in gts.scenes.values() for c in scene.categories}
-    )
-    det_categories = sorted(
-        {d.category for dets in dets_by_scene.values() for d in dets}
-    )
-    all_categories = sorted(set(gt_categories) | set(det_categories))
-    tables = _scene_tables(dets_by_scene, gts, all_categories, thresholds)
+    tables = _scene_tables(dets_by_scene, gts, thresholds)
+    all_categories = sorted(tables)
 
     per_category: dict[int, float] = {}
     num_gt: dict[int, int] = {}
@@ -225,7 +217,7 @@ def metrics_report(dets_by_scene: dict[str, list[Detection]], gts: GroundTruthSe
 
     def split_mean(**split) -> float:
         aps = []
-        for cat in gt_categories:
+        for cat in with_gt:
             ap, n_gt, _ = _category_ap(tables[cat], iou_threshold, **split)
             if n_gt > 0:
                 aps.append(ap)
@@ -269,29 +261,39 @@ def _box_from_record(rec: dict) -> Box9DoF:
 
 def box_record(box: Box9DoF, category: int) -> dict:
     """JSON record of a categorized box; the one box serializer of the package."""
-    return {
-        "center": [float(x) for x in box.center],
-        "size": [float(x) for x in box.size],
-        "euler": [float(x) for x in box.euler],
-        "category": int(category),
-    }
+    center, size, euler = box_params(box).reshape(3, 3).tolist()
+    return {"center": center, "size": size, "euler": euler, "category": int(category)}
 
 
 def _read_jsonl(path, parse):
-    """Yield (line number, scene id, parse(record)) for each non-empty line; a
-    malformed line raises a ValueError that names the path and the line."""
+    """Yield (line number, scene id, parse(record, box records)) for each non-empty
+    line; a malformed line raises a ValueError that names the path and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                parsed = str(rec["scene_id"]), parse(rec)
+                scene_id, boxes = _scene_record(rec)
+                parsed = scene_id, parse(rec, boxes)
             except KeyError as exc:
                 raise ValueError(f"{path}: line {lineno}: missing field {exc}") from exc
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             yield (lineno, *parsed)
+
+
+def _scene_record(rec) -> tuple[str, list[dict]]:
+    """(scene id, box records) of a JSON object whose "scene_id" is a string or an
+    integer (not a bool; kept as its decimal string) and "boxes" a list of objects."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"scene record must be a JSON object, got {rec!r}")
+    scene_id, boxes = rec["scene_id"], rec["boxes"]
+    if not (isinstance(scene_id, str) or type(scene_id) is int):
+        raise ValueError(f"scene_id must be a string or an integer, got {scene_id!r}")
+    if not (isinstance(boxes, list) and all(isinstance(b, dict) for b in boxes)):
+        raise ValueError(f"boxes must be a list of objects, got {boxes!r}")
+    return str(scene_id), boxes
 
 
 def _category_from_record(rec: dict) -> int:
@@ -305,15 +307,17 @@ def _score_from_record(rec: dict) -> float:
     return float(_json_number("score", rec["score"]))
 
 
-def _detections_from_record(rec: dict) -> list[Detection]:
+def _detections_from_record(rec: dict, boxes: list[dict]) -> list[Detection]:
     return [Detection(_box_from_record(b), _score_from_record(b), _category_from_record(b))
-            for b in rec["boxes"]]
+            for b in boxes]
 
 
-def _gt_scene_from_record(rec: dict) -> SceneGroundTruth:
-    boxes = [_box_from_record(b) for b in rec["boxes"]]
-    cats = [_category_from_record(b) for b in rec["boxes"]]
-    return SceneGroundTruth(boxes, cats, str(rec.get("subset", "all")))
+def _gt_scene_from_record(rec: dict, boxes: list[dict]) -> SceneGroundTruth:
+    subset = rec.get("subset", "all")
+    if not isinstance(subset, str):
+        raise ValueError(f"subset must be a string, got {subset!r}")
+    return SceneGroundTruth([_box_from_record(b) for b in boxes],
+                            [_category_from_record(b) for b in boxes], subset)
 
 
 def load_detections_jsonl(path) -> dict[str, list[Detection]]:

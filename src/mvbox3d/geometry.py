@@ -81,18 +81,18 @@ class Box9DoF:
             raise ValueError(f"expected 9 box parameters, got shape {np.shape(params)}")
         return cls(p[:3], p[3:6], p[6:9])
 
-    def rotation(self) -> np.ndarray:
-        return euler_to_rotation(self.euler)
-
     def volume(self) -> float:
         return float(np.prod(self.size))
 
 
-def box_params(box) -> np.ndarray:
-    """[x, y, z, w, l, h, roll, pitch, yaw] of a ``Box9DoF``; (..., 9) arrays pass through."""
-    if isinstance(box, Box9DoF):
-        return box.to_params()
-    p = np.asarray(box, dtype=float)
+def box_params(boxes) -> np.ndarray:
+    """[x, y, z, w, l, h, roll, pitch, yaw]: (9,) of a ``Box9DoF``, (N, 9) of a list of them
+    ((0, 9) if empty); (..., 9) arrays pass through. The package's one box converter."""
+    if isinstance(boxes, Box9DoF):
+        return boxes.to_params()
+    if isinstance(boxes, (list, tuple)) and (not boxes or isinstance(boxes[0], Box9DoF)):
+        return np.array([(box.center, box.size, box.euler) for box in boxes]).reshape(-1, 9)
+    p = np.asarray(boxes, dtype=float)
     if p.shape[-1:] != (9,):
         raise ValueError(f"expected (..., 9) box parameters, got shape {p.shape}")
     return p
@@ -279,11 +279,8 @@ _FACE_WEIGHT = np.repeat([1.0, 1.0, -1.0], 6)
 
 
 def _params_matrix(boxes) -> np.ndarray:
-    """(N, 9) parameters of a ``Box9DoF`` sequence or an (N, 9) array."""
-    if isinstance(boxes, np.ndarray):
-        p = box_params(boxes)
-    else:
-        p = np.array([box_params(b) for b in boxes], dtype=float).reshape(len(boxes), 9)
+    """``box_params`` of N boxes, which must be (N, 9)."""
+    p = box_params(boxes)
     if p.ndim != 2:
         raise ValueError(f"expected (N, 9) box parameters, got shape {p.shape}")
     return p
@@ -499,7 +496,7 @@ def nms_scenes(dets_by_scene: dict, iou_threshold: float) -> dict:
                     second.append(base + j)
         visits.append((dets, order, base))
         boxes.extend(d.box for d in dets)
-    params = _params_matrix(boxes)
+    params = box_params(boxes)
     over = paired_iou(params[first], params[second]) > iou_threshold
     suppressors: dict[int, list[int]] = {}
     for k in np.flatnonzero(over).tolist():

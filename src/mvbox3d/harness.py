@@ -9,6 +9,7 @@ config defaults; everything is reproducible from integer seeds.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -36,8 +37,8 @@ from .enhancer import (
 from .evaluation import (
     MetricsReport,
     SizeThresholds,
-    _box_from_record,
-    _category_from_record,
+    _gt_scene_from_record,
+    _scene_record,
     box_record,
     load_detections_jsonl,
     load_gt_jsonl,
@@ -47,10 +48,10 @@ from .evaluation import (
 from .geometry import (
     _SIGNED_PERMS,
     Box9DoF,
-    _params_matrix,
     box_corners,
-    box_iou,
+    box_params,
     nms_scenes,
+    paired_iou,
     reparameterize_box,
 )
 from .losses import get_box_loss, prepare_target
@@ -175,10 +176,9 @@ def gen_scene(config: RunConfig, seed: int) -> SceneSample:
                 size_low=config.box_size_min,
                 size_high=config.box_size_max,
             )
-            visible = sum(
-                in_frustum(cam, box.center, config.max_depth) for cam in cameras
-            )
-            if visible < min(2, n_cams):
+            # stop at the second camera that sees the center
+            seen = (cam for cam in cameras if in_frustum(cam, box.center, config.max_depth))
+            if len(list(itertools.islice(seen, 2))) < min(2, n_cams):
                 continue
             # keep instances separated so the oracle rendering stays readable;
             # drop the constraint if placement gets tight
@@ -248,7 +248,9 @@ def _render_view(scene: SceneSample, view: int, signatures: np.ndarray,
     stride = config.feature_stride
     fh, fw = config.image_height // stride, config.image_width // stride
     cell_u, cell_v = np.arange(fw) * float(stride), (np.arange(fh) * float(stride))[:, None]
-    boxes = _params_matrix(scene.gt_boxes)
+    boxes = box_params(scene.gt_boxes)
+    if boxes.ndim != 2:
+        raise ValueError(f"expected (N, 9) box parameters, got shape {boxes.shape}")
     points = np.concatenate([box_corners(boxes), boxes[:, None, :3]], axis=1)  # corners, center
     u, v, d = (x.reshape(-1, 9) for x in project_points(cam, points))
     owner, owner_depth = np.full((fh, fw), -1), np.full((fh, fw), np.inf)
@@ -374,9 +376,11 @@ def fit_batch(gt, init, loss_kind: str, config: RunConfig) -> list[FitTrace]:
     keeps the raw trajectory.
     """
     loss_fn = get_box_loss(loss_kind)
-    params, target = _params_matrix(init).copy(), prepare_target(_params_matrix(gt))
+    params, target = box_params(init).copy(), prepare_target(gt)
     if target.params.shape != params.shape:
         raise ValueError(f"gt {target.params.shape} and init {params.shape} must match")
+    if params.ndim != 2:
+        raise ValueError(f"expected (N, 9) box parameters, got shape {params.shape}")
     n, steps, lr = len(params), config.fit_steps, config.learning_rate
     if n == 0:
         return []
@@ -456,8 +460,9 @@ def run_fit_benchmark(loss_kind: str, config: RunConfig, n_instances: int,
         gts.append(random_box(rng))
         draws.append(perturb_box(gts[-1], rng, config, force_symmetry=force))
     traces = fit_batch(gts, [init for init, _ in draws], loss_kind, config)
-    return [FitOutcome(box_iou(t.final_box, gt), t.final_loss, applied)
-            for t, gt, (_, applied) in zip(traces, gts, draws)]
+    ious = paired_iou([t.final_box for t in traces], gts).tolist()
+    return [FitOutcome(iou, t.final_loss, applied)
+            for iou, t, (_, applied) in zip(ious, traces, draws)]
 
 
 def fit_trace_csv(traces: list[FitTrace]) -> str:
@@ -572,10 +577,10 @@ def scene_to_dict(scene: SceneSample) -> dict:
 
 def scene_from_dict(data: dict) -> SceneSample:
     try:
-        boxes = [_box_from_record(b) for b in data["boxes"]]
-        cats = [_category_from_record(b) for b in data["boxes"]]
-        cams = [camera_from_dict(c) for c in data["cameras"]]
-        return SceneSample(str(data["scene_id"]), _json_int("seed", data["seed"]), cams, boxes, cats)
+        scene_id, records = _scene_record(data)
+        truth = _gt_scene_from_record(data, records)
+        cams, seed = [camera_from_dict(c) for c in data["cameras"]], _json_int("seed", data["seed"])
+        return SceneSample(scene_id, seed, cams, truth.boxes, truth.categories)
     except KeyError as exc:
         raise ValueError(f"malformed scene record: missing field {exc}") from exc
     except (TypeError, OverflowError) as exc:

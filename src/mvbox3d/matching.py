@@ -46,8 +46,8 @@ def cost_matrix(preds, gts, weights: LossWeights, box_loss_kind: str) -> np.ndar
     if not preds or not gts:
         raise ValueError("cost_matrix needs at least one prediction and one ground truth")
     box_fn = get_box_loss(box_loss_kind)
-    pred = np.stack([box_params(box) for box, _ in preds])[:, None, :]
-    gt = np.stack([box_params(box) for box, _ in gts])[None, :, :]
+    pred = box_params([box for box, _ in preds])[:, None, :]
+    gt = box_params([box for box, _ in gts])[None, :, :]
     probs = np.stack([np.asarray(pr, dtype=float).reshape(-1) for _, pr in preds])
     classes = np.array([int(c) for _, c in gts])
     return (
@@ -161,19 +161,17 @@ def matched_loss(preds, gts, weights: LossWeights, box_loss_kind: str) -> Matche
             With no predictions the result is ``MatchedLoss([], [], 0.0)``.
     """
     logits = [np.asarray(l, dtype=float).reshape(-1) for _, l in preds]
+    pred, gt = box_params([box for box, _ in preds]), box_params([box for box, _ in gts])
     assignment = []
     if preds and gts:
         probs = [1.0 / (1.0 + np.exp(-l)) for l in logits]
-        assignment = hungarian(cost_matrix(
-            [(box, pr) for (box, _), pr in zip(preds, probs)], gts, weights, box_loss_kind))
+        assignment = hungarian(cost_matrix(list(zip(pred, probs)), gts, weights, box_loss_kind))
     matched = dict(assignment)
     # prediction index -> (value, box gradient, logits gradient)
     terms = {}
     if assignment:
-        rows, cols = zip(*assignment)
-        tl = total_loss(np.stack([box_params(preds[p][0]) for p in rows]),
-                        np.stack([logits[p] for p in rows]),
-                        np.stack([box_params(gts[g][0]) for g in cols]),
+        rows, cols = (list(idx) for idx in zip(*assignment))
+        tl = total_loss(pred[rows], np.stack([logits[p] for p in rows]), gt[cols],
                         np.array([int(gts[g][1]) for g in cols]), weights, box_loss_kind)
         for i, p in enumerate(rows):
             terms[p] = (float(tl.value[i]), tl.box_grad[i], tl.logits_grad[i])

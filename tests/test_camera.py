@@ -61,6 +61,18 @@ class TestCameraModel:
         with pytest.raises(ValueError):
             CameraModel(DEFAULT_STD_INTRINSICS, np.eye(4), (0, 512))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [
+        ("intrinsics", 0), ("intrinsics", 3), ("extrinsics", (0, 3)), ("extrinsics", (1, 1)),
+        ("extrinsics", (2, 0)), ("extrinsics", (3, 1)), ("extrinsics", (3, 3)),
+    ], ids=["focal", "principal-point", "translation", "rotation-diagonal", "rotation-off-diagonal",
+            "bottom-row", "bottom-corner"])
+    def test_rejects_non_finite(self, where, value):
+        intr, ext = np.array(DEFAULT_STD_INTRINSICS), np.eye(4)
+        (intr if where[0] == "intrinsics" else ext)[where[1]] = value
+        with pytest.raises(ValueError, match="^camera intrinsics and extrinsics must be finite$"):
+            CameraModel(intr, ext, (512, 512))
+
 
 class TestUnproject:
     def test_principal_point(self):
@@ -347,6 +359,14 @@ class TestFrustumPointGrid:
 
 
 class TestStandardize:
+    @pytest.mark.parametrize("index, value", [(0, np.nan), (1, np.inf), (2, -np.inf), (3, np.nan)])
+    def test_rejects_non_finite_target(self, index, value):
+        target = [500.0, 500.0, 15.0, 20.0]
+        target[index] = value
+        with pytest.raises(ValueError) as info:
+            standardize_intrinsics(np.zeros((40, 30, 3)), make_camera(size=(30, 40)), target)
+        assert str(info.value) == f"target intrinsics must be finite and fu, fv > 0, got {target}"
+
     def test_identity_warp(self):
         rng = np.random.default_rng(2)
         img = rng.uniform(0, 255, (40, 30, 3))

@@ -202,6 +202,22 @@ class TestRender:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize("change, message", [
+        ({"scene_id": {"k": 1}}, "scene_id must be a string or an integer, got {'k': 1}"),
+        ({"scene_id": None}, "scene_id must be a string or an integer, got None"),
+        ({"boxes": 5}, "boxes must be a list of objects, got 5"),
+        ({"boxes": [[0, 0, 0]]}, "boxes must be a list of objects, got [[0, 0, 0]]"),
+    ], ids=["scene-id-object", "scene-id-null", "boxes-number", "boxes-of-lists"])
+    def test_scene_malformed_record_exit_one(self, tmp_path, capsys, change, message):
+        scene = tmp_path / "scene.json"
+        run(["gen-scene", "--seed", "1", "--out", str(scene)])
+        scene.write_text(json.dumps(dict(json.loads(scene.read_text()), **change)))
+        capsys.readouterr()
+        code = run(["render", "--scene", str(scene), "--out-dir", str(tmp_path / "r")])
+        assert code == 1 and not (tmp_path / "r").exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestStandardize:
     def test_default_intrinsics_output(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -257,6 +273,23 @@ class TestStandardize:
         err = capsys.readouterr().err
         assert err == ("error: malformed camera record: intrinsics must be finite, "
                        f"got {data['intrinsics']!r}\n")
+
+    @pytest.mark.parametrize("target", [["nan", "500", "256", "256"], ["500", "inf", "256", "256"],
+                                        ["500", "500", "256", "nan"]],
+                             ids=["nan-focal", "inf-focal", "nan-principal-point"])
+    def test_non_finite_target_exit_one(self, tmp_path, capsys, target):
+        img_path = tmp_path / "img.ppm"
+        write_ppm(img_path, np.zeros((16, 16, 3)))
+        cam_path = tmp_path / "cam.json"
+        save_camera_json(cam_path, CameraModel([100.0, 100.0, 8.0, 8.0], np.eye(4), (16, 16)))
+        out, out_cam = tmp_path / "s.ppm", tmp_path / "std.json"
+        capsys.readouterr()
+        code = run(["standardize", "--in", str(img_path), "--cam", str(cam_path),
+                    "--out", str(out), "--out-cam", str(out_cam), "--intrinsics", *target])
+        assert code == 1 and not out.exists() and not out_cam.exists()
+        values = [float(x) for x in target]
+        assert capsys.readouterr().err == (
+            f"error: target intrinsics must be finite and fu, fv > 0, got {values}\n")
 
     def test_custom_intrinsics(self, tmp_path, capsys):
         img_path = tmp_path / "img.ppm"
@@ -411,6 +444,49 @@ class TestEvalCli:
         err = capsys.readouterr().err
         assert err == f"error: {dets}: line 1: {field} must be finite, got {value!r}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("target, change, message", [
+        ("gt", {"subset": None}, "subset must be a string, got None"),
+        ("gt", {"subset": ["x"]}, "subset must be a string, got ['x']"),
+        ("gt", {"scene_id": {"k": 1}}, "scene_id must be a string or an integer, got {'k': 1}"),
+        ("dets", {"scene_id": 1.5}, "scene_id must be a string or an integer, got 1.5"),
+        ("dets", {"scene_id": True}, "scene_id must be a string or an integer, got True"),
+        ("dets", {"boxes": 5}, "boxes must be a list of objects, got 5"),
+        ("gt", {"boxes": [5]}, "boxes must be a list of objects, got [5]"),
+        ("dets", 5, "scene record must be a JSON object, got 5"),
+        ("gt", ["scene0"], "scene record must be a JSON object, got ['scene0']"),
+    ], ids=["subset-null", "subset-list", "scene-id-object", "scene-id-float", "scene-id-bool",
+            "boxes-number", "boxes-of-numbers", "line-number", "line-list"])
+    def test_eval_malformed_record_exit_one(self, tmp_path, capsys, target, change, message):
+        gt = tmp_path / "gt.jsonl"
+        run(["gen-scene", "--seed", "4", "--out", str(tmp_path / "scene.json"),
+             "--gt-out", str(gt)])
+        records = {"gt": json.loads(gt.read_text())}
+        records["dets"] = dict(records["gt"], boxes=[dict(b, score=0.9)
+                                                     for b in records["gt"]["boxes"]])
+        records[target] = dict(records[target], **change) if isinstance(change, dict) else change
+        paths = {name: tmp_path / f"{name}.jsonl" for name in records}
+        for name, rec in records.items():
+            paths[name].write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "report.csv"
+        capsys.readouterr()
+        code = run(["eval", "--dets", str(paths["dets"]), "--gt", str(paths["gt"]),
+                    "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == f"error: {paths[target]}: line 1: {message}\n"
+
+    def test_eval_integer_scene_ids(self, tmp_path, capsys):
+        gt = tmp_path / "gt.jsonl"
+        run(["gen-scene", "--seed", "4", "--out", str(tmp_path / "scene.json"),
+             "--gt-out", str(gt)])
+        rec = dict(json.loads(gt.read_text()), scene_id=7)
+        gt.write_text(json.dumps(rec) + "\n")
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(json.dumps(dict(rec, scene_id="7", boxes=[
+            dict(b, score=0.9) for b in rec["boxes"]])) + "\n")
+        out = tmp_path / "report.csv"
+        assert run(["eval", "--dets", str(dets), "--gt", str(gt), "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[1].split(",")[2] == "1.000000"
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--nms-iou", "-0.2", "nms_iou_threshold"), ("--iou", "1.5", "ap_iou_threshold"),

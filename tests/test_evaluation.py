@@ -16,6 +16,7 @@ from mvbox3d.evaluation import (
     SceneGroundTruth,
     SizeThresholds,
     _greedy_flags,
+    _scene_tables,
     average_precision,
     load_detections_jsonl,
     load_gt_jsonl,
@@ -26,7 +27,7 @@ from mvbox3d.evaluation import (
     save_gt_jsonl,
 )
 from mvbox3d.config import RunConfig
-from mvbox3d.geometry import Box9DoF, Detection, box_iou
+from mvbox3d.geometry import Box9DoF, Detection, box_iou, box_params
 from oracles import oracle_average_precision, oracle_greedy_flags, oracle_iou
 
 PROPERTIES = settings(derandomize=True, max_examples=200, deadline=None)
@@ -388,6 +389,51 @@ class TestSplitsAgainstBruteForce:
             for split, expected in (*per_size.items(), *per_subset.items()):
                 got = report.per_size.get(split, report.per_subset.get(split))
                 assert abs(got - expected) <= 1e-12, split
+
+
+def literal_size_class(box, thresholds):
+    """The size rule written out: small < small_max <= medium < medium_max <= large."""
+    vol = float(np.prod(box.size))
+    if vol < thresholds.small_max:
+        return "small"
+    return "medium" if vol < thresholds.medium_max else "large"
+
+
+class TestSizeClasses:
+    """One size rule: ``classify`` (one box) and eval's per-scene classes
+    (each scene's volume column) agree with each other and with the rule."""
+
+    @pytest.mark.parametrize("size, expected", [
+        ([0.5, 1.0, 1.0], "small"),
+        ([1.0, 1.0, np.nextafter(1.0, 0.0)], "small"),
+        ([1.0, 1.0, 1.0], "medium"),  # exactly small_max
+        ([2.0, 2.0, np.nextafter(2.0, 0.0)], "medium"),
+        ([2.0, 2.0, 2.0], "large"),  # exactly medium_max
+        ([4.0, 2.0, 2.0], "large"),
+    ])
+    def test_boundaries(self, size, expected):
+        thresholds = SizeThresholds(1.0, 8.0)
+        box = Box9DoF([0, 0, 0], size, [0, 0, 0])
+        assert thresholds.classify(box) == literal_size_class(box, thresholds) == expected
+        assert thresholds._classes(box_params([box, box])) == [expected, expected]
+
+    @given(st.lists(st.lists(st.floats(0.05, 3.0), min_size=3, max_size=3), max_size=12),
+           st.floats(0.01, 2.0), st.floats(0.01, 8.0))
+    @PROPERTIES
+    def test_scene_classes_are_classify_box_by_box(self, sizes, small_max, medium_max):
+        thresholds = SizeThresholds(small_max, medium_max)
+        boxes = [Box9DoF([0.0, float(k), 0.0], size, [0, 0, 0.3]) for k, size in enumerate(sizes)]
+        cats = [k % 3 for k in range(len(boxes))]
+        dets = {"s": [Detection(box, 0.5, (cat + 1) % 3) for box, cat in zip(boxes, cats)]}
+        gts = GroundTruthSet({"s": SceneGroundTruth(boxes, cats)})
+        tables = _scene_tables(dets, gts, thresholds)
+        for cat in range(3):
+            sides = ([d.box for d in dets["s"] if d.category == cat],
+                     [b for b, c in zip(boxes, cats) if c == cat])
+            want = [[literal_size_class(b, thresholds) for b in side] for side in sides]
+            assert want == [[thresholds.classify(b) for b in side] for side in sides]
+            got = [[t.det_sizes, t.gt_sizes] for t in tables.get(cat, [])]
+            assert got == ([want] if any(want) else [])
 
 
 class TestJsonl:

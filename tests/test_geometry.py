@@ -16,12 +16,15 @@ from mvbox3d.geometry import (
     Detection,
     box_corners,
     box_iou,
+    box_params,
     corner_permutation_table,
     euler_to_rotation,
     gaussian_sigma,
     intersection_volume,
     nms,
     nms_scenes,
+    paired_iou,
+    pairwise_iou,
     reparameterize_box,
     rotation_derivatives,
     rotation_to_euler,
@@ -113,6 +116,75 @@ class TestBox9DoF:
         box = Box9DoF([0, 0, 0], [1, 1, 1], [0, 0, 0])
         with pytest.raises(ValueError):
             Detection(box, 1.5, 0)
+
+
+_FLOATS = st.floats(-10.0, 10.0, allow_nan=False)
+_BOX = st.builds(
+    Box9DoF,
+    st.lists(_FLOATS, min_size=3, max_size=3),
+    st.lists(st.floats(1e-3, 10.0), min_size=3, max_size=3),
+    st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+)
+_ROW = st.lists(_FLOATS, min_size=9, max_size=9)
+
+
+class TestBoxParams:
+    """``box_params`` is the one conversion from boxes to parameter arrays."""
+
+    @staticmethod
+    def fields(box):
+        return [*box.center.tolist(), *box.size.tolist(), *box.euler.tolist()]
+
+    @given(_BOX)
+    @settings(max_examples=50, deadline=None)
+    def test_one_box(self, box):
+        p = box_params(box)
+        assert p.shape == (9,) and p.dtype == np.float64
+        assert p.tolist() == self.fields(box)
+
+    @given(st.lists(_BOX, max_size=6), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_list_of_boxes(self, boxes, as_tuple):
+        p = box_params(tuple(boxes) if as_tuple else boxes)
+        assert p.shape == (len(boxes), 9) and p.dtype == np.float64
+        assert p.tolist() == [self.fields(box) for box in boxes]
+
+    def test_empty_list(self):
+        for empty in ([], ()):
+            p = box_params(empty)
+            assert p.shape == (0, 9) and p.dtype == np.float64
+
+    @given(st.lists(_ROW, max_size=5))
+    @settings(max_examples=50, deadline=None)
+    def test_nested_rows(self, rows):
+        p = box_params(rows)
+        assert p.shape == (len(rows), 9) and p.tolist() == rows
+
+    @given(_ROW)
+    @settings(max_examples=25, deadline=None)
+    def test_flat_tuple(self, row):
+        p = box_params(tuple(row))
+        assert p.shape == (9,) and p.tolist() == row
+
+    @given(st.lists(_ROW, min_size=1, max_size=6), st.sampled_from([(9,), (-1, 9), (-1, 1, 9)]))
+    @settings(max_examples=50, deadline=None)
+    def test_array_passes_through(self, rows, shape):
+        arr = np.array(rows[:1] if shape == (9,) else rows).reshape(shape)
+        before = arr.tobytes()
+        p = box_params(arr)
+        assert p is arr and p.tobytes() == before
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 8), (3, 1, 8)])
+    def test_rejects_other_widths(self, shape):
+        with pytest.raises(ValueError) as info:
+            box_params(np.zeros(shape))
+        assert str(info.value) == f"expected (..., 9) box parameters, got shape {shape}"
+
+    @pytest.mark.parametrize("fn", [paired_iou, pairwise_iou])
+    def test_rows_must_be_a_matrix(self, fn):
+        with pytest.raises(ValueError) as info:
+            fn(np.ones(9), np.ones(9))
+        assert str(info.value) == "expected (N, 9) box parameters, got shape (9,)"
 
 
 class TestEulerRotation:
@@ -281,7 +353,7 @@ class TestSignedPermutations:
 
 
 def box_sigma(box):
-    return gaussian_sigma(box.size, box.rotation())
+    return gaussian_sigma(box.size, euler_to_rotation(box.euler))
 
 
 class TestGaussianBox:

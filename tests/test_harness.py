@@ -95,6 +95,29 @@ class TestGenScene:
                     in_frustum(cam, box.center, config.max_depth) for cam in scene.cameras
                 )
 
+    @pytest.mark.parametrize("config", [RunConfig(), RunConfig(min_cameras=1, max_cameras=3)],
+                             ids=["default", "one-to-three-cameras"])
+    def test_visibility_stops_at_the_cameras_it_needs(self, monkeypatch, config):
+        """Each candidate center is tested camera by camera until min(2, cameras)
+        see it, and no further."""
+        from mvbox3d import harness
+
+        for seed in range(6):
+            calls: dict[tuple, list[bool]] = {}
+
+            def recording(cam, point, max_depth):
+                seen = calls.setdefault(tuple(point.tolist()), [])
+                seen.append(in_frustum(cam, point, max_depth))
+                return seen[-1]
+
+            monkeypatch.setattr(harness, "in_frustum", recording)
+            n_cams = len(gen_scene(config, seed).cameras)
+            need = min(2, n_cams)
+            for seen in calls.values():
+                hits = sum(seen)
+                assert hits <= need
+                assert seen[-1] if hits == need else len(seen) == n_cams
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(min_boxes=5, max_boxes=2)
